@@ -29,13 +29,11 @@ from .core import (
     create,
     element_offset,
     fill_flat,
-    fortran_strides,
     gather,
     get_element,
     index_axis,
     iter_offsets,
     materialize,
-    recompute_flags,
     reinterpret_dtype,
     reshape,
     scatter,
@@ -81,6 +79,7 @@ from .errors import (
     StorageError,
     StructFieldError,
     TypestrError,
+    ValueRangeError,
 )
 from .kernels import (
     compare,

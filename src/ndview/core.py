@@ -15,13 +15,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from struct import error as _struct_error
 from typing import Iterator, Sequence, Union
 
 from .counters import record_allocation
-from .dtypes import DType, decode_element, element_struct, encode_element, int64
+from .dtypes import (
+    DType,
+    decode_element,
+    element_code,
+    element_struct,
+    encode_element,
+    int64,
+)
 from .errors import (
     AllocationError,
     BoundsError,
@@ -37,7 +45,6 @@ __all__ = [
     "Flags",
     "ArrayView",
     "contiguous_strides",
-    "fortran_strides",
     "create",
     "arange",
     "array_from",
@@ -50,7 +57,6 @@ __all__ = [
     "reshape",
     "reinterpret_dtype",
     "fill_flat",
-    "recompute_flags",
     "materialize",
     "copy_elements",
     "iter_offsets",
@@ -74,7 +80,8 @@ class Buffer:
     """A fixed-length contiguous byte store.
 
     `raw` is any object supporting the buffer protocol (bytearray, mmap,
-    ctypes array); a cached memoryview serves byte-range reads and writes.
+    ctypes array); a cached memoryview of it in format "B", the same for
+    every backing, serves byte-range reads and writes.
     Heap allocations report to the active counting scopes; mapped and foreign
     buffers wrap existing memory and are never counted as allocations.
     """
@@ -89,7 +96,8 @@ class Buffer:
         self.id = next(_buffer_ids)
         self.owner = owner  # keepalive for foreign exporters / mapped files
         self._mmap = mmap_handle
-        self._view = memoryview(raw) if raw is not None else memoryview(b"")
+        view = memoryview(raw if raw is not None else b"")
+        self._view = view if view.format == "B" else view.cast("B")  # ctypes exports "<B"
 
     def __del__(self):
         try:
@@ -121,14 +129,6 @@ class Buffer:
     def nbytes(self) -> int:
         return self._view.nbytes
 
-    def read_bytes(self, start: int, stop: int) -> bytes:
-        return bytes(self._view[start:stop])
-
-    def write_bytes(self, start: int, data) -> None:
-        if self.read_only:
-            raise NotWriteableError("buffer is read-only")
-        self._view[start:start + len(data)] = data
-
     def flush(self) -> None:
         """Make pending modifications durable; only valid for mapped files."""
         if self.backing is not Backing.FILE_MAPPED:
@@ -155,16 +155,6 @@ def contiguous_strides(shape: Sequence[int], itemsize: int) -> Extents:
     return tuple(strides)
 
 
-def fortran_strides(shape: Sequence[int], itemsize: int) -> Extents:
-    """Column-major analogue of contiguous_strides."""
-    strides = [0] * len(shape)
-    acc = itemsize
-    for k in range(len(shape)):
-        strides[k] = acc
-        acc *= shape[k]
-    return tuple(strides)
-
-
 def _contiguity(shape: Extents, strides: Extents, itemsize: int) -> tuple[bool, bool]:
     # Extent-1 axes place no constraint on strides; empty arrays count as both.
     if 0 in shape:
@@ -181,6 +171,25 @@ def _contiguity(shape: Extents, strides: Extents, itemsize: int) -> tuple[bool, 
             f = False
         acc *= ext
     return c, f
+
+
+def _byte_span(shape: Extents, strides: Extents, itemsize: int) -> tuple[int, int]:
+    """Bytes [lo, hi) that a layout addresses, relative to its base; (0, 0) when empty."""
+    if 0 in shape:
+        return 0, 0
+    lo = hi = 0
+    for ext, st in zip(shape, strides):
+        span = (ext - 1) * st
+        if span < 0:
+            lo += span
+        else:
+            hi += span
+    return lo, hi + itemsize
+
+
+def _is_index(item) -> bool:
+    # bool is an int subclass, but x[True] is not a position
+    return isinstance(item, int) and not isinstance(item, bool)
 
 
 class ArrayView:
@@ -202,19 +211,10 @@ class ArrayView:
             raise ShapeError(f"rank mismatch: shape {shape} vs strides {strides}")
         if any(e < 0 for e in shape):
             raise ShapeError(f"negative extent in shape {shape}")
-        if 0 not in shape:
-            lo = hi = base_offset
-            for ext, st in zip(shape, strides):
-                span = (ext - 1) * st
-                if span < 0:
-                    lo += span
-                else:
-                    hi += span
-            if lo < 0 or hi > buffer.nbytes - dtype.itemsize:
-                raise BoundsError(
-                    f"view spans bytes [{lo}, {hi + dtype.itemsize}) outside "
-                    f"buffer of {buffer.nbytes} bytes"
-                )
+        lo, hi = _byte_span(shape, strides, dtype.itemsize)
+        if hi and (base_offset + lo < 0 or base_offset + hi > buffer.nbytes):
+            raise BoundsError(f"view spans bytes [{base_offset + lo}, {base_offset + hi}) "
+                              f"outside buffer of {buffer.nbytes} bytes")
         object.__setattr__(self, "buffer", buffer)
         object.__setattr__(self, "base_offset", base_offset)
         object.__setattr__(self, "shape", shape)
@@ -271,7 +271,7 @@ class ArrayView:
         items = key if isinstance(key, tuple) else (key,)
         if sum(1 for it in items if it is not None) > self.ndim:
             raise BoundsError(f"too many indices for rank-{self.ndim} view")
-        if len(items) == self.ndim and all(isinstance(it, int) for it in items):
+        if len(items) == self.ndim and all(map(_is_index, items)):
             return get_element(self, self._normalize_index(items))
         view, axis = self, 0
         for it in items:
@@ -282,7 +282,7 @@ class ArrayView:
                 spec = [slice(None)] * axis + [it]
                 view = slice_view(view, spec)
                 axis += 1
-            elif isinstance(it, int):
+            elif _is_index(it):
                 ext = view.shape[axis]
                 i = it + ext if it < 0 else it
                 view = index_axis(view, axis, i)
@@ -293,7 +293,7 @@ class ArrayView:
     def __setitem__(self, key, value):
         items = key if isinstance(key, tuple) else (key,)
         if (not isinstance(key, str) and len(items) == self.ndim
-                and all(isinstance(it, int) for it in items)):
+                and all(map(_is_index, items))):
             set_element(self, self._normalize_index(items), value)
             return
         target = self[key]
@@ -413,10 +413,9 @@ def arange(start, stop=None, step=1, dtype: DType = int64) -> ArrayView:
         raise ValueError("arange step cannot be zero")
     if all(isinstance(v, int) for v in (start, stop, step)):
         count = max(0, -((start - stop) // step) if step > 0 else -((stop - start) // -step))
-        values = [start + i * step for i in range(count)]
     else:
         count = max(0, math.ceil((stop - start) / step))
-        values = [start + i * step for i in range(count)]
+    values = [start + i * step for i in range(count)]
     out = create((count,), dtype)
     if count:
         element_struct(dtype, count).pack_into(out.buffer.raw, 0, *values)
@@ -582,117 +581,155 @@ def reinterpret_dtype(v: ArrayView, new_dtype: DType) -> ArrayView:
                      writeable=v.flags.writeable, is_view=True)
 
 
-def recompute_flags(v: ArrayView) -> Flags:
-    """Contiguity flags derived afresh from shape, strides and itemsize."""
-    c, f = _contiguity(v.shape, v.strides, v.itemsize)
-    return Flags(writeable=v.flags.writeable, c_contiguous=c, f_contiguous=f,
-                 is_view=v.flags.is_view)
-
-
 # ---------------------------------------------------------------------------
 # Bulk element traffic
+#
+# Every read and write goes through the view's element bytes packed in C-order.
+# One walker, _runs, covers the view with runs of evenly spaced elements, and
+# one memoryview slice assignment moves each run between the buffer and the
+# packed bytes; the packed bytes then decode or encode in one call.
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def _row_starts(shape: Extents, strides: Extents, base: int) -> Iterator[int]:
-    # Offsets of each last-axis run, C-order; caller guarantees no zero extents.
-    lead = shape[:-1]
-    if not lead:
-        yield base
+def _runs(shape: Extents, strides: Extents, base: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Runs (start, step, count, out_start, out_step) covering a strided layout.
+
+    The element at start + i*step is element out_start + i*out_step in C-order,
+    for i < count, in the units of `base` and `strides`. Extent-1 axes are
+    dropped, axis k merges into axis k+1 when stride[k] == shape[k+1] *
+    stride[k+1], and the largest remaining extent becomes the run, so Python
+    loops only over the other axes. Those are visited in C-order: of positions
+    that alias one location through zero strides, the last in C-order comes last.
+    """
+    if 0 in shape:
         return
-    lead_strides = strides[:-1]
-    idx = [0] * len(lead)
-    off = base
-    while True:
-        yield off
-        k = len(lead) - 1
-        while k >= 0:
-            idx[k] += 1
-            off += lead_strides[k]
-            if idx[k] < lead[k]:
-                break
-            off -= lead_strides[k] * lead[k]
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
+    axes = []  # [extent, stride, out_stride], innermost first
+    out_stride = 1
+    for ext, st in zip(reversed(shape), reversed(strides)):
+        if ext > 1:
+            if axes and st == axes[-1][0] * axes[-1][1]:
+                axes[-1][0] *= ext
+            else:
+                axes.append([ext, st, out_stride])
+        out_stride *= ext
+    if not axes:
+        yield base, 1, 1, 0, 1
+        return
+    count, step, out_step = axes.pop(max(range(len(axes)), key=lambda k: axes[k][0]))
+    starts, out_starts = [base], [0]
+    for ext, st, ost in reversed(axes):
+        starts = [a + i * st for a in starts for i in range(ext)]
+        out_starts = [c + i * ost for c in out_starts for i in range(ext)]
+    for a, c in zip(starts, out_starts):
+        yield a, step, count, c, out_step
+
+
+def _span(start: int, step: int, count: int) -> slice:
+    # A stop below 0 would count from the end, so a run reaching index 0 backward stops at None.
+    stop = start + step * count
+    return slice(start, stop if stop >= 0 else None, step)
+
+
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned formats by width; lanes move bytes only
+
+
+def _lanes(v: ArrayView):
+    """A flat memoryview of v's buffer and the walker's runs over v's elements.
+
+    When the itemsize has a lane format and v's offset and strides are whole
+    multiples of it, each lane is one element and runs count elements;
+    otherwise lanes are bytes, and each element's bytes are one more axis.
+    """
+    mv = v.buffer._view
+    isz = v.itemsize
+    code = _LANE_CODES.get(isz)
+    if code and v.base_offset % isz == 0 and all(s % isz == 0 for s in v.strides):
+        mv = mv[:len(mv) - len(mv) % isz].cast(code)
+        return mv, _runs(v.shape, tuple(s // isz for s in v.strides), v.base_offset // isz)
+    return mv, _runs(v.shape + (isz,), v.strides + (1,), v.base_offset)
+
+
+def _read_packed(v: ArrayView) -> bytearray:
+    """v's element bytes, packed in C-order."""
+    out = bytearray(v.size * v.itemsize)
+    mv, runs = _lanes(v)
+    flat = memoryview(out).cast(mv.format)
+    for a, s, n, c, t in runs:
+        if s:
+            flat[c:c + n * t:t] = mv[_span(a, s, n)]
+        else:
+            flat[c:c + n * t:t] = memoryview(bytes(mv[a:a + 1]) * n).cast(mv.format)
+    return out
+
+
+def _write_packed(v: ArrayView, data) -> None:
+    """Store element bytes packed in C-order into v's elements."""
+    mv, runs = _lanes(v)
+    flat = memoryview(data).cast("B").cast(mv.format)
+    for a, s, n, c, t in runs:
+        if s:
+            mv[_span(a, s, n)] = flat[c:c + n * t:t]
+        else:  # every position of the run aliases one element: the last value wins
+            last = c + (n - 1) * t
+            mv[a:a + 1] = flat[last:last + 1]
+
+
+_PACK_CHUNK = 1 << 14  # values per struct call: bounds the argument tuple struct builds
+
+
+def _pack(dt: DType, values: Sequence) -> bytearray:
+    """values encoded with struct and packed in C-order."""
+    isz = dt.itemsize
+    out = bytearray(len(values) * isz)
+    if not dt.is_structured:
+        try:
+            for i in range(0, len(values), _PACK_CHUNK):
+                chunk = values[i:i + _PACK_CHUNK]
+                element_struct(dt, len(chunk)).pack_into(out, i * isz, *chunk)
+            return out
+        except (_struct_error, OverflowError):
+            pass  # encode one by one below, so the error names the bad value
+    for i, value in enumerate(values):
+        encode_element(dt, out, i * isz, value)
+    return out
 
 
 def iter_offsets(v: ArrayView) -> Iterator[int]:
     """Byte offsets of every element in C-order."""
-    if v.size == 0:
-        return
-    if not v.shape:
-        yield v.base_offset
-        return
-    n, s = v.shape[-1], v.strides[-1]
-    for row in _row_starts(v.shape, v.strides, v.base_offset):
-        off = row
-        for _ in range(n):
-            yield off
-            off += s
+    offsets = [0] * v.size
+    for a, s, n, c, t in _runs(v.shape, v.strides, v.base_offset):
+        offsets[c:c + n * t:t] = range(a, a + s * n, s) if s else [a] * n
+    yield from offsets
 
 
 def gather(v: ArrayView) -> list:
-    """All element values in C-order as a flat list.
+    """All element values in C-order as a flat list, decoded in one call.
 
-    Runs of element-contiguous bytes decode in bulk; any other stride
-    pattern (including zero strides from broadcasting) falls back to
-    per-element decoding.
+    Scalars decode through a memoryview cast to their format, which is native,
+    so big-endian hosts decode with struct instead.
     """
-    if v.dtype.is_structured:
-        return [decode_element(v.dtype, v.buffer.raw, off) for off in iter_offsets(v)]
-    if v.size == 0:
-        return []
-    raw = v.buffer.raw
-    if not v.shape:
-        return [element_struct(v.dtype).unpack_from(raw, v.base_offset)[0]]
-    n, s = v.shape[-1], v.strides[-1]
-    out: list = []
-    if s == v.itemsize and n > 0:
-        st = element_struct(v.dtype, n)
-        for row in _row_starts(v.shape, v.strides, v.base_offset):
-            out.extend(st.unpack_from(raw, row))
-    else:
-        unpack = element_struct(v.dtype).unpack_from
-        for row in _row_starts(v.shape, v.strides, v.base_offset):
-            out.extend(unpack(raw, row + i * s)[0] for i in range(n))
-    return out
+    dt = v.dtype
+    data = _read_packed(v)
+    if dt.is_structured:
+        return [decode_element(dt, data, off) for off in range(0, len(data), dt.itemsize)]
+    if _LITTLE_ENDIAN:
+        return memoryview(data).cast(element_code(dt)).tolist()
+    return list(element_struct(dt, v.size).unpack_from(data))
 
 
 def scatter(v: ArrayView, values: Sequence) -> None:
-    """Assign a flat C-order value sequence into the view's elements."""
+    """Assign a flat C-order value sequence into the view's elements.
+
+    Every value is encoded before the first byte is written, so a value the
+    dtype cannot hold raises ValueRangeError and leaves the view unchanged.
+    Where a zero stride aliases positions, the value last in C-order wins.
+    """
     if not v.flags.writeable:
         raise NotWriteableError("view is not writeable")
     if len(values) != v.size:
         raise ShapeError(f"{len(values)} values for {v.size} elements")
-    if v.size == 0:
-        return
-    raw = v.buffer.raw
-    if v.dtype.is_structured:
-        for off, val in zip(iter_offsets(v), values):
-            encode_element(v.dtype, raw, off, val)
-        return
-    if not v.shape:
-        encode_element(v.dtype, raw, v.base_offset, values[0])
-        return
-    n, s = v.shape[-1], v.strides[-1]
-    if s == v.itemsize and n > 0:
-        st = element_struct(v.dtype, n)
-        pos = 0
-        for row in _row_starts(v.shape, v.strides, v.base_offset):
-            try:
-                st.pack_into(raw, row, *values[pos:pos + n])
-            except _struct_error:
-                # re-encode one by one so the error names the bad value
-                for i in range(n):
-                    encode_element(v.dtype, raw, row + i * s, values[pos + i])
-            pos += n
-    else:
-        pos = 0
-        for row in _row_starts(v.shape, v.strides, v.base_offset):
-            for i in range(n):
-                encode_element(v.dtype, raw, row + i * s, values[pos])
-                pos += 1
+    _write_packed(v, _pack(v.dtype, values))
 
 
 def fill_flat(v: ArrayView, values) -> None:
@@ -703,16 +740,15 @@ def fill_flat(v: ArrayView, values) -> None:
         values = gather(values)
     else:
         values = list(values)
-    if len(values) != v.size:
-        raise ShapeError(f"source has {len(values)} values, view has {v.size} elements")
     scatter(v, values)
 
 
 def copy_elements(src: ArrayView, dst: ArrayView) -> None:
     """Raw byte copy of src's elements into dst, both in C-order.
 
-    Dtypes must carry the same itemsize; element counts must match. Overlapping
-    source and destination regions are not supported.
+    Dtypes must carry the same itemsize; element counts must match. The whole
+    source is read before any byte is written, so views that overlap copy as
+    if the source had been copied first.
     """
     if src.size != dst.size:
         raise ShapeError(f"element count mismatch: {src.size} vs {dst.size}")
@@ -722,21 +758,11 @@ def copy_elements(src: ArrayView, dst: ArrayView) -> None:
         raise NotWriteableError("destination view is not writeable")
     if src.size == 0:
         return
-    isz = src.itemsize
-    if src.flags.c_contiguous and dst.flags.c_contiguous:
-        nbytes = src.size * isz
-        dst.buffer.write_bytes(
-            dst.base_offset,
-            src.buffer.read_bytes(src.base_offset, src.base_offset + nbytes))
+    if src.flags.c_contiguous and dst.flags.c_contiguous:  # one run, which memoryview moves whole
+        s, d, n = src.base_offset, dst.base_offset, src.size * src.itemsize
+        dst.buffer._view[d:d + n] = src.buffer._view[s:s + n]
         return
-    sview = memoryview(src.buffer.raw)
-    dview = memoryview(dst.buffer.raw)
-    try:
-        for so, do in zip(iter_offsets(src), iter_offsets(dst)):
-            dview[do:do + isz] = sview[so:so + isz]
-    finally:
-        sview.release()
-        dview.release()
+    _write_packed(dst, _read_packed(src))
 
 
 def materialize(v: ArrayView) -> ArrayView:

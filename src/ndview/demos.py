@@ -94,18 +94,11 @@ def mgrid(ranges: Sequence[tuple[int, int]]) -> list[ArrayView]:
 
     Array k has the full d-dimensional shape and varies along axis k only.
     """
-    if not ranges:
-        raise ShapeError("mgrid needs at least one axis range")
-    for start, stop in ranges:
-        if stop <= start:
-            raise ShapeError(f"empty axis range ({start}, {stop})")
-    rank = len(ranges)
+    vecs = ogrid(ranges)
+    if len(vecs) == 1:
+        return vecs
     full = tuple(stop - start for start, stop in ranges)
-    out = []
-    for axis, (start, stop) in enumerate(ranges):
-        vec = _axis_vector(start, stop, axis, rank)
-        out.append(materialize(broadcast_view(vec, full)) if rank > 1 else vec)
-    return out
+    return [materialize(broadcast_view(vec, full)) for vec in vecs]
 
 
 def ogrid(ranges: Sequence[tuple[int, int]]) -> list[ArrayView]:
@@ -115,7 +108,7 @@ def ogrid(ranges: Sequence[tuple[int, int]]) -> list[ArrayView]:
     allocation is just the sum of the axis lengths.
     """
     if not ranges:
-        raise ShapeError("ogrid needs at least one axis range")
+        raise ShapeError("a grid needs at least one axis range")
     for start, stop in ranges:
         if stop <= start:
             raise ShapeError(f"empty axis range ({start}, {stop})")

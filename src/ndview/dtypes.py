@@ -24,6 +24,7 @@ from .errors import (
     FieldNotFoundError,
     StructFieldError,
     TypestrError,
+    ValueRangeError,
 )
 
 __all__ = [
@@ -63,14 +64,8 @@ class ByteOrder(Enum):
     NOT_APPLICABLE = "|"
 
 
-_SUPPORTED_SIZES = {
-    Kind.SIGNED: (1, 2, 4, 8),
-    Kind.UNSIGNED: (1, 2, 4, 8),
-    Kind.FLOAT: (4, 8),
-    Kind.BOOL: (1,),
-}
-
-# struct format characters for each supported scalar (always '<'-prefixed).
+# Format character of each supported scalar (kind, itemsize); struct use is
+# always '<'-prefixed.
 _STRUCT_CODE = {
     (Kind.SIGNED, 1): "b",
     (Kind.SIGNED, 2): "h",
@@ -124,7 +119,7 @@ class DType:
         else:
             if self.fields:
                 raise StructFieldError("scalar dtype cannot carry fields")
-            if self.itemsize not in _SUPPORTED_SIZES[self.kind]:
+            if (self.kind, self.itemsize) not in _STRUCT_CODE:
                 raise TypestrError(
                     f"unsupported size {self.itemsize} for kind {self.kind.value!r}"
                 )
@@ -191,7 +186,7 @@ def parse_typestr(s: str, allow_big_endian: bool = False) -> DType:
         raise TypestrError(f"bad size character {bad!r} in {s!r}")
     kind = _KIND_BY_CHAR[kind_char]
     itemsize = int(size_str)
-    if itemsize <= 0 or itemsize not in _SUPPORTED_SIZES[kind]:
+    if (kind, itemsize) not in _STRUCT_CODE:
         raise TypestrError(f"unsupported dtype {s!r}")
     if itemsize == 1 or kind is Kind.BOOL:
         # Byte order is irrelevant for single bytes; '<u1' normalizes to '|u1'.
@@ -258,13 +253,18 @@ def field_lookup(dt: DType, name: str) -> tuple[int, DType]:
 _struct_cache: dict[tuple[str, int], struct.Struct] = {}
 
 
-def element_struct(dt: DType, count: int = 1) -> struct.Struct:
-    """Compiled (little-endian) struct for `count` consecutive scalars of `dt`."""
+def element_code(dt: DType) -> str:
+    """Format character of a scalar dtype, shared by struct and memoryview."""
     if dt.is_structured:
         raise TypestrError("structured dtypes are not decoded through a single struct")
     if dt.byteorder is ByteOrder.BIG:
         raise ByteOrderError(f"cannot decode big-endian dtype {dt}")
-    code = _STRUCT_CODE[(dt.kind, dt.itemsize)]
+    return _STRUCT_CODE[(dt.kind, dt.itemsize)]
+
+
+def element_struct(dt: DType, count: int = 1) -> struct.Struct:
+    """Compiled (little-endian) struct for `count` consecutive scalars of `dt`."""
+    code = element_code(dt)
     key = (code, count)
     st = _struct_cache.get(key)
     if st is None:
@@ -301,5 +301,5 @@ def encode_element(dt: DType, buf, offset: int, value) -> None:
         return
     try:
         element_struct(dt).pack_into(buf, offset, value)
-    except struct.error as exc:
-        raise ValueError(f"cannot store {value!r} in dtype {dt}: {exc}") from None
+    except (struct.error, OverflowError) as exc:
+        raise ValueRangeError(f"cannot store {value!r} in dtype {dt}: {exc}") from None

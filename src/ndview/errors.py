@@ -45,6 +45,10 @@ class ReinterpretError(NdviewError, ValueError):
     """Dtype reinterpretation violates contiguity or divisibility rules."""
 
 
+class ValueRangeError(NdviewError, ValueError):
+    """A value the element type cannot hold: out of range, or not of its kind."""
+
+
 class IntegerDivisionError(NdviewError, ZeroDivisionError):
     """Integer division by zero (float division yields inf/nan instead)."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import repeat
 from typing import Union
 
 from .broadcast import broadcast_shapes, broadcast_view
@@ -26,8 +27,8 @@ from .core import (
     reshape,
     scatter,
 )
-from .counters import CounterReport, counting, record_scalar_ops
-from .dtypes import DType, Kind, bool_, field_lookup, float64
+from .counters import record_scalar_ops
+from .dtypes import ByteOrder, DType, Kind, bool_, field_lookup, float64
 from .errors import (
     BroadcastError,
     IntegerDivisionError,
@@ -39,8 +40,6 @@ __all__ = [
     "BINARY_OPS",
     "UNARY_OPS",
     "COMPARE_OPS",
-    "CounterReport",
-    "counting",
     "promote_dtypes",
     "elementwise_binary",
     "scalar_binary",
@@ -69,8 +68,6 @@ def promote_dtypes(a: DType, b: DType) -> DType:
     type (uint64, having none, promotes to float64); any int mixed with any
     float gives float64. The result depends only on the operand set.
     """
-    from .dtypes import DType as _D, ByteOrder as _BO
-
     if a.is_structured or b.is_structured:
         raise TypeError("structured dtypes do not combine arithmetically")
     if a == b:
@@ -91,7 +88,7 @@ def promote_dtypes(a: DType, b: DType) -> DType:
     if unsigned.itemsize not in _SIGNED_FOR_UNSIGNED:
         return float64  # no wider signed type exists for uint64
     width = _SIGNED_FOR_UNSIGNED[unsigned.itemsize]
-    as_signed = _D(Kind.SIGNED, width, _BO.LITTLE)
+    as_signed = DType(Kind.SIGNED, width, ByteOrder.LITTLE)
     return signed if signed.itemsize >= width else as_signed
 
 
@@ -109,8 +106,6 @@ def _div_int(a: int, b: int) -> int:
 
 
 def _div_float(a: float, b: float) -> float:
-    a = float(a)
-    b = float(b)
     if b == 0.0:
         if a != a or a == 0.0:
             return math.nan
@@ -127,7 +122,7 @@ _BINARY_FN = {
     ("add", True): operator.add,
     ("sub", True): operator.sub,
     ("mul", True): operator.mul,
-    ("div", True): _div_float,
+    ("div", True): operator.truediv,  # _apply falls back to _div_float on a zero divisor
 }
 
 _COMPARE_FN = {
@@ -145,6 +140,17 @@ def _binary_fn(op: str, out_dtype: DType):
         return _BINARY_FN[(op, out_dtype.kind is Kind.FLOAT)]
     except KeyError:
         raise ValueError(f"unknown binary op {op!r}") from None
+
+
+def _apply(fn, *operands) -> list:
+    """fn over the operands through C-level map; a float division pass that
+    meets a zero divisor is redone with _div_float, which yields inf or nan."""
+    try:
+        return list(map(fn, *operands))
+    except ZeroDivisionError:
+        if fn is not operator.truediv:
+            raise
+        return list(map(_div_float, *operands))
 
 
 def _cast_for(vals: list, src: DType, dst: DType) -> list:
@@ -167,7 +173,9 @@ def elementwise_binary(op: str, a: ArrayView, b: ArrayView) -> ArrayView:
     vb = _cast_for(_gather_at(b, out_shape), b.dtype, out_dtype)
     fn = _binary_fn(op, out_dtype)
     out = create(out_shape, out_dtype)
-    scatter(out, list(map(fn, va, vb)))
+    vals = _apply(fn, va, vb)
+    del va, vb  # free the operand values before the result is encoded
+    scatter(out, vals)
     record_scalar_ops(out.size)
     return out
 
@@ -197,11 +205,9 @@ def scalar_binary(op: str, a: ArrayView, s: Scalar, scalar_side: str = "right") 
     va = _cast_for(gather(a), a.dtype, out_dtype)
     if out_dtype.kind is Kind.FLOAT:
         s = float(s)
-    fn = _binary_fn(op, out_dtype)
-    if scalar_side == "left":
-        vals = [fn(s, x) for x in va]
-    else:
-        vals = [fn(x, s) for x in va]
+    operands = (repeat(s), va) if scalar_side == "left" else (va, repeat(s))
+    vals = _apply(_binary_fn(op, out_dtype), *operands)
+    del va, operands
     out = create(a.shape, out_dtype)
     scatter(out, vals)
     record_scalar_ops(out.size)
@@ -215,6 +221,17 @@ def _sqrt(v) -> float:
     return math.sqrt(v)
 
 
+def _sqrt_all(va: list) -> list:
+    # math.sqrt raises on a negative input and passes a NaN input's bits
+    # through; either way _sqrt, which returns math.nan, redoes the pass.
+    try:
+        vals = list(map(math.sqrt, va))
+    except ValueError:
+        return list(map(_sqrt, va))
+    total = sum(vals)
+    return vals if total == total else list(map(_sqrt, va))
+
+
 def elementwise_unary(op: str, a: ArrayView) -> ArrayView:
     """square, sqrt or neg over every element; sqrt of an int array yields float64."""
     _require_numeric(a.dtype)
@@ -225,9 +242,10 @@ def elementwise_unary(op: str, a: ArrayView) -> ArrayView:
         out_dtype, vals = a.dtype, [-v for v in va]
     elif op == "sqrt":
         out_dtype = a.dtype if a.dtype.kind is Kind.FLOAT else float64
-        vals = [_sqrt(v) for v in va]
+        vals = _sqrt_all(va)
     else:
         raise ValueError(f"unknown unary op {op!r}")
+    del va
     out = create(a.shape, out_dtype)
     scatter(out, vals)
     record_scalar_ops(out.size)
@@ -265,14 +283,10 @@ def elementwise_binary_inplace(op: str, target: ArrayView,
         vb = _cast_for(_gather_at(b, target.shape), b.dtype, domain)
     else:
         domain, b = _scalar_operand(target.dtype, b)
-        vb = None
+        vb = repeat(float(b) if domain.kind is Kind.FLOAT else b)
     vt = _cast_for(vt, target.dtype, domain)
-    fn = _binary_fn(op, domain)
-    if vb is None:
-        s = float(b) if domain.kind is Kind.FLOAT else b
-        vals = [fn(x, s) for x in vt]
-    else:
-        vals = list(map(fn, vt, vb))
+    vals = _apply(_binary_fn(op, domain), vt, vb)
+    del vt, vb
     scatter(target, vals)
     record_scalar_ops(target.size)
 
@@ -289,13 +303,10 @@ def compare(op: str, a: ArrayView, b: Union[ArrayView, Scalar]) -> ArrayView:
         if b.dtype.is_structured:
             raise TypeError("cannot compare structured elements")
         out_shape = broadcast_shapes(a.shape, b.shape)
-        va = _gather_at(a, out_shape)
-        vb = _gather_at(b, out_shape)
-        vals = list(map(fn, va, vb))
+        vals = list(map(fn, _gather_at(a, out_shape), _gather_at(b, out_shape)))
     else:
         out_shape = a.shape
-        va = gather(a)
-        vals = [fn(x, b) for x in va]
+        vals = list(map(fn, gather(a), repeat(b)))
     out = create(out_shape, bool_)
     scatter(out, vals)
     record_scalar_ops(out.size)
@@ -338,8 +349,8 @@ def dot(a: ArrayView, b: ArrayView) -> ArrayView:
     if ka != kb:
         raise ShapeError(f"inner extents differ: {a2.shape} vs {b2.shape}")
     k = ka
-    a_rows = [[float(x) for x in gather(index_axis(a2, 0, i))] for i in range(m)]
-    b_rows = [[float(x) for x in gather(index_axis(b2, 0, t))] for t in range(k)]
+    a_rows = [list(map(float, gather(index_axis(a2, 0, i)))) for i in range(m)]
+    b_rows = [list(map(float, gather(index_axis(b2, 0, t)))) for t in range(k)]
     out = create((m, n), float64)
     vals: list = []
     for i in range(m):

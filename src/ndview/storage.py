@@ -14,13 +14,14 @@ freely.
 from __future__ import annotations
 
 import ctypes
+import math
 import mmap
 import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import ArrayView, Backing, Buffer, contiguous_strides, iter_offsets
+from .core import ArrayView, Backing, Buffer, _byte_span, _read_packed, contiguous_strides
 from .counters import record_allocation
 from .dtypes import DType, parse_typestr
 from .errors import MappingSizeError, RecordSizeError, ShapeError, StorageError
@@ -67,41 +68,22 @@ def memmap_open(path, mode: Union[MemmapMode, str], shape: Sequence[int],
     shape = tuple(int(e) for e in shape)
     if any(e < 0 for e in shape):
         raise ShapeError(f"negative extent in shape {shape}")
-    nbytes = dtype.itemsize
-    for e in shape:
-        nbytes *= e
-    nbytes = nbytes if 0 not in shape else 0
-
+    nbytes = math.prod(shape) * dtype.itemsize
     if mode is MemmapMode.WRITE:
         with open(path, "wb") as f:
             f.truncate(nbytes)
-        if nbytes == 0:
-            buf = Buffer(bytearray(0), Backing.FILE_MAPPED)
-        else:
-            f = open(path, "r+b")
-            try:
-                mm = mmap.mmap(f.fileno(), nbytes, access=mmap.ACCESS_WRITE)
-            finally:
-                f.close()
-            buf = Buffer.from_mmap(mm, read_only=False)
+    elif not os.path.exists(path):
+        raise FileNotFoundError(f"no such file: {path}")
+    elif os.path.getsize(path) < nbytes:
+        raise MappingSizeError(
+            f"file {path} holds {os.path.getsize(path)} bytes, mapping needs {nbytes}")
+    read_only = mode is MemmapMode.READ_ONLY
+    if nbytes == 0:
+        buf = Buffer(bytearray(0), Backing.FILE_MAPPED, read_only=read_only)
     else:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no such file: {path}")
-        actual = os.path.getsize(path)
-        if actual < nbytes:
-            raise MappingSizeError(
-                f"file {path} holds {actual} bytes, mapping needs {nbytes}")
-        read_only = mode is MemmapMode.READ_ONLY
-        if nbytes == 0:
-            buf = Buffer(bytearray(0), Backing.FILE_MAPPED, read_only=read_only)
-        else:
+        with open(path, "rb" if read_only else "r+b") as f:
             access = mmap.ACCESS_READ if read_only else mmap.ACCESS_WRITE
-            f = open(path, "rb" if read_only else "r+b")
-            try:
-                mm = mmap.mmap(f.fileno(), nbytes, access=access)
-            finally:
-                f.close()
-            buf = Buffer.from_mmap(mm, read_only=read_only)
+            buf = Buffer.from_mmap(mmap.mmap(f.fileno(), nbytes, access=access), read_only)
     return ArrayView(buf, 0, shape, contiguous_strides(shape, dtype.itemsize), dtype)
 
 
@@ -161,28 +143,16 @@ def from_interface(source) -> ArrayView:
     address, read_only = desc.data
     shape = tuple(int(e) for e in desc.shape)
     strides = desc.strides or contiguous_strides(shape, dtype.itemsize)
-    if 0 in shape:
-        lo, hi = 0, -dtype.itemsize
-    else:
-        lo = hi = 0
-        for ext, st in zip(shape, strides):
-            span = (ext - 1) * st
-            if span < 0:
-                lo += span
-            else:
-                hi += span
-    nbytes = hi + dtype.itemsize - lo
-    if address == 0 and nbytes > 0:
+    lo, hi = _byte_span(shape, strides, dtype.itemsize)
+    if address == 0 and hi > lo:
         raise StorageError("array interface has a null data location")
 
-    if nbytes <= 0:
-        raw = (ctypes.c_ubyte * 0)()
-        nbytes = 0
+    if hi > lo:
+        raw = (ctypes.c_ubyte * (hi - lo)).from_address(address + lo)
     else:
-        raw = (ctypes.c_ubyte * nbytes).from_address(address + lo)
+        raw = (ctypes.c_ubyte * 0)()
     buf = Buffer.from_foreign(raw, read_only=read_only, owner=owner)
-    return ArrayView(buf, -lo if nbytes else 0, shape, strides, dtype,
-                     writeable=not read_only)
+    return ArrayView(buf, -lo, shape, strides, dtype, writeable=not read_only)
 
 
 def fromfile(path, dtype: DType) -> ArrayView:
@@ -206,10 +176,5 @@ def tofile(v: ArrayView, path) -> None:
     Non-contiguous views write their logical elements, not their raw buffer,
     so fromfile(tofile(v)) always reproduces v's values.
     """
-    isz = v.itemsize
     with open(path, "wb") as f:
-        if v.flags.c_contiguous and v.size:
-            f.write(v.buffer.read_bytes(v.base_offset, v.base_offset + v.size * isz))
-        else:
-            for off in iter_offsets(v):
-                f.write(v.buffer.read_bytes(off, off + isz))
+        f.write(_read_packed(v))

@@ -1,5 +1,6 @@
 import pytest
 
+from ndview import array_from, cli, int8
 from ndview.cli import run
 
 
@@ -125,6 +126,17 @@ class TestBench:
 
 
 class TestCliContract:
+    def test_value_range_error_exits_1(self, capsys, monkeypatch):
+        def overflow(args):
+            x = array_from([[1, 2, 3], [120, 5, 6]], int8)
+            x += 10
+            return 0
+
+        monkeypatch.setitem(cli._HANDLERS, "strides-demo", overflow)
+        assert run(["strides-demo"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot store 130")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -118,6 +118,36 @@ class TestGetSet:
         with pytest.raises(NotWriteableError):
             nv.set_element(frozen, (0, 0), 1)
 
+    def test_bool_index_rejected(self):
+        x = make_grid()
+        with pytest.raises(TypeError, match="unsupported index"):
+            x[True]
+        with pytest.raises(TypeError, match="unsupported index"):
+            x[True, 0]
+        with pytest.raises(TypeError, match="unsupported index"):
+            x[True] = 5
+        with pytest.raises(TypeError, match="unsupported index"):
+            x[0, False] = 5
+        assert x.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+
+
+class TestOverlappingAssignment:
+    # Expected values are NumPy 2.4's results for the same statements.
+    def test_transpose_into_itself(self):
+        y = make_grid()
+        y[:, :] = nv.transpose(y)
+        assert y.tolist() == [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
+
+    def test_shifted_strided_slice(self):
+        w = nv.arange(0, 10, 1)
+        w[2::2] = w[0:8:2]
+        assert w.tolist() == [0, 1, 0, 3, 2, 5, 4, 7, 6, 9]
+
+    def test_contiguous_shift(self):
+        w = nv.arange(0, 10, 1)
+        w[1:] = w[:-1]
+        assert w.tolist() == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+
 
 class TestSliceView:
     def test_every_second(self):
@@ -274,16 +304,16 @@ class TestFillFlat:
 
 class TestFlags:
     def test_c_contiguous_grid(self):
-        f = nv.recompute_flags(make_grid())
+        f = make_grid().flags
         assert f.c_contiguous and not f.f_contiguous
 
     def test_transpose_is_fortran(self):
-        f = nv.recompute_flags(nv.transpose(make_grid()))
+        f = nv.transpose(make_grid()).flags
         assert not f.c_contiguous and f.f_contiguous
 
     def test_degenerate_both(self):
         v = nv.ArrayView(nv.create((1, 1), nv.int64).buffer, 0, (1, 1), (999, 123), nv.int64)
-        f = nv.recompute_flags(v)
+        f = v.flags
         assert f.c_contiguous and f.f_contiguous
 
 

@@ -9,8 +9,10 @@ from ndview.counters import counting
 from ndview.errors import (
     BroadcastError,
     IntegerDivisionError,
+    NdviewError,
     NotWriteableError,
     ShapeError,
+    ValueRangeError,
 )
 from ndview.kernels import promote_dtypes
 
@@ -152,6 +154,21 @@ class TestInplace:
         x = arr([1, 2, 3])
         with pytest.raises(ValueError, match="cannot store"):
             nv.elementwise_binary_inplace("add", x, 0.5)
+
+    def test_out_of_range_result_leaves_target_unchanged(self):
+        x = arr([[1, 2, 3], [120, 5, 6]], nv.int8)
+        with pytest.raises(ValueRangeError, match="cannot store 130"):
+            x += 10
+        assert x.tolist() == [[1, 2, 3], [120, 5, 6]]
+
+    def test_float32_overflow_is_a_library_error(self):
+        x = arr([1.0, -2.0], nv.float32)
+        with pytest.raises(ValueRangeError, match="cannot store"):
+            nv.scalar_binary("mul", x, 10 ** 300)
+        with pytest.raises(ValueRangeError):
+            nv.elementwise_binary_inplace("mul", x, 10 ** 300)
+        assert x.tolist() == [1.0, -2.0]
+        assert issubclass(ValueRangeError, NdviewError)
 
     def test_inplace_matches_out_of_place_with_fewer_buffers(self):
         x = nv.arange(0.0, 200.0, 1.0, nv.float64)
