@@ -32,7 +32,6 @@ from .core import (
     gather,
     get_element,
     index_axis,
-    iter_offsets,
     materialize,
     reinterpret_dtype,
     reshape,

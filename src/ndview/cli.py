@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time evaluation strategies and grid methods")
     p.add_argument("--size", type=int, default=100000, help="bench element count")
     p.add_argument("--n", type=int, default=50, help="grid extent for timing")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -13,8 +13,8 @@ concurrent mutation of a buffer requires external exclusivity.
 
 from __future__ import annotations
 
-import itertools
 import math
+import mmap
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -59,7 +59,6 @@ __all__ = [
     "fill_flat",
     "materialize",
     "copy_elements",
-    "iter_offsets",
     "gather",
     "scatter",
 ]
@@ -73,9 +72,6 @@ class Backing(Enum):
     FOREIGN = "foreign"
 
 
-_buffer_ids = itertools.count()
-
-
 class Buffer:
     """A fixed-length contiguous byte store.
 
@@ -86,16 +82,13 @@ class Buffer:
     buffers wrap existing memory and are never counted as allocations.
     """
 
-    __slots__ = ("raw", "backing", "read_only", "id", "owner", "_mmap", "_view")
+    __slots__ = ("raw", "backing", "read_only", "owner", "_view")
 
-    def __init__(self, raw, backing: Backing, read_only: bool = False,
-                 owner=None, mmap_handle=None):
+    def __init__(self, raw, backing: Backing, read_only: bool = False, owner=None):
         self.raw = raw
         self.backing = backing
         self.read_only = read_only
-        self.id = next(_buffer_ids)
         self.owner = owner  # keepalive for foreign exporters / mapped files
-        self._mmap = mmap_handle
         view = memoryview(raw if raw is not None else b"")
         self._view = view if view.format == "B" else view.cast("B")  # ctypes exports "<B"
 
@@ -118,10 +111,6 @@ class Buffer:
         return cls(raw, Backing.HEAP)
 
     @classmethod
-    def from_mmap(cls, mm, read_only: bool) -> "Buffer":
-        return cls(mm, Backing.FILE_MAPPED, read_only=read_only, mmap_handle=mm)
-
-    @classmethod
     def from_foreign(cls, raw, read_only: bool, owner=None) -> "Buffer":
         return cls(raw, Backing.FOREIGN, read_only=read_only, owner=owner)
 
@@ -133,8 +122,8 @@ class Buffer:
         """Make pending modifications durable; only valid for mapped files."""
         if self.backing is not Backing.FILE_MAPPED:
             raise StorageError(f"flush on {self.backing.value} buffer")
-        if self._mmap is not None:
-            self._mmap.flush()
+        if isinstance(self.raw, mmap.mmap):  # zero-byte mappings hold a bytearray
+            self.raw.flush()
 
 
 @dataclass(frozen=True)
@@ -190,6 +179,14 @@ def _byte_span(shape: Extents, strides: Extents, itemsize: int) -> tuple[int, in
 def _is_index(item) -> bool:
     # bool is an int subclass, but x[True] is not a position
     return isinstance(item, int) and not isinstance(item, bool)
+
+
+def _wrap_index(i: int, ext: int, axis: int) -> int:
+    """Position of index i on an axis, counting from the end when i < 0."""
+    j = i + ext if i < 0 else i
+    if not 0 <= j < ext:
+        raise BoundsError(f"index {i} out of bounds for axis {axis} with extent {ext}")
+    return j
 
 
 class ArrayView:
@@ -283,9 +280,7 @@ class ArrayView:
                 view = slice_view(view, spec)
                 axis += 1
             elif _is_index(it):
-                ext = view.shape[axis]
-                i = it + ext if it < 0 else it
-                view = index_axis(view, axis, i)
+                view = index_axis(view, axis, _wrap_index(it, view.shape[axis], axis))
             else:
                 raise TypeError(f"unsupported index {it!r}")
         return view
@@ -311,11 +306,7 @@ class ArrayView:
             scatter(target, [value] * target.size)
 
     def _normalize_index(self, items) -> Extents:
-        idx = []
-        for k, it in enumerate(items):
-            i = it + self.shape[k] if it < 0 else it
-            idx.append(i)
-        return tuple(idx)
+        return tuple(_wrap_index(i, ext, k) for k, (i, ext) in enumerate(zip(items, self.shape)))
 
     # -- arithmetic sugar (thin wrappers over the kernel module) -------------
 
@@ -415,10 +406,8 @@ def arange(start, stop=None, step=1, dtype: DType = int64) -> ArrayView:
         count = max(0, -((start - stop) // step) if step > 0 else -((stop - start) // -step))
     else:
         count = max(0, math.ceil((stop - start) / step))
-    values = [start + i * step for i in range(count)]
     out = create((count,), dtype)
-    if count:
-        element_struct(dtype, count).pack_into(out.buffer.raw, 0, *values)
+    scatter(out, [start + i * step for i in range(count)])
     return out
 
 
@@ -693,14 +682,6 @@ def _pack(dt: DType, values: Sequence) -> bytearray:
     for i, value in enumerate(values):
         encode_element(dt, out, i * isz, value)
     return out
-
-
-def iter_offsets(v: ArrayView) -> Iterator[int]:
-    """Byte offsets of every element in C-order."""
-    offsets = [0] * v.size
-    for a, s, n, c, t in _runs(v.shape, v.strides, v.base_offset):
-        offsets[c:c + n * t:t] = range(a, a + s * n, s) if s else [a] * n
-    yield from offsets
 
 
 def gather(v: ArrayView) -> list:

@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -250,8 +251,6 @@ def field_lookup(dt: DType, name: str) -> tuple[int, DType]:
 # ---------------------------------------------------------------------------
 # Element codec. All multi-byte values are stored little-endian.
 
-_struct_cache: dict[tuple[str, int], struct.Struct] = {}
-
 
 def element_code(dt: DType) -> str:
     """Format character of a scalar dtype, shared by struct and memoryview."""
@@ -264,13 +263,12 @@ def element_code(dt: DType) -> str:
 
 def element_struct(dt: DType, count: int = 1) -> struct.Struct:
     """Compiled (little-endian) struct for `count` consecutive scalars of `dt`."""
-    code = element_code(dt)
-    key = (code, count)
-    st = _struct_cache.get(key)
-    if st is None:
-        st = struct.Struct(f"<{count}{code}")
-        _struct_cache[key] = st
-    return st
+    return _compiled_struct(element_code(dt), count)
+
+
+@functools.lru_cache(maxsize=256)  # bounded: every distinct count is a new entry
+def _compiled_struct(code: str, count: int) -> struct.Struct:
+    return struct.Struct(f"<{count}{code}")
 
 
 def decode_element(dt: DType, buf, offset: int):

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
+from functools import partial
+from itertools import compress, repeat
 from typing import Union
 
 from .broadcast import broadcast_shapes, broadcast_view
 from .core import (
     ArrayView,
-    copy_elements,
+    _read_packed,
     create,
     gather,
     index_axis,
@@ -37,9 +38,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BINARY_OPS",
-    "UNARY_OPS",
-    "COMPARE_OPS",
     "promote_dtypes",
     "elementwise_binary",
     "scalar_binary",
@@ -50,10 +48,6 @@ __all__ = [
     "dot",
     "field_view",
 ]
-
-BINARY_OPS = ("add", "sub", "mul", "div")
-UNARY_OPS = ("square", "sqrt", "neg")
-COMPARE_OPS = ("ge", "gt", "le", "lt", "eq", "ne")
 
 Scalar = Union[int, float, bool]
 
@@ -135,9 +129,9 @@ _COMPARE_FN = {
 }
 
 
-def _binary_fn(op: str, out_dtype: DType):
+def _binary_apply(op: str, out_dtype: DType):
     try:
-        return _BINARY_FN[(op, out_dtype.kind is Kind.FLOAT)]
+        return partial(_apply, _BINARY_FN[(op, out_dtype.kind is Kind.FLOAT)])
     except KeyError:
         raise ValueError(f"unknown binary op {op!r}") from None
 
@@ -153,14 +147,32 @@ def _apply(fn, *operands) -> list:
         return list(map(_div_float, *operands))
 
 
-def _cast_for(vals: list, src: DType, dst: DType) -> list:
-    if dst.kind is Kind.FLOAT and src.kind is not Kind.FLOAT:
+def _operand(x, shape, to_float: bool):
+    if not isinstance(x, ArrayView):
+        return repeat(float(x) if to_float else x)
+    vals = gather(x if x.shape == shape else broadcast_view(x, shape))
+    if to_float and x.dtype.kind is not Kind.FLOAT:
         return [float(v) for v in vals]
     return vals
 
 
-def _gather_at(v: ArrayView, shape) -> list:
-    return gather(v if v.shape == tuple(shape) else broadcast_view(v, shape))
+def _map(apply, operands, shape, out: Union[ArrayView, DType],
+         to_float: bool = False) -> ArrayView:
+    """The one loop behind the element-wise kernels, like a NumPy ufunc.
+
+    Each array operand is read once, broadcast to `shape`; with `to_float`,
+    int operands convert with float(). Scalars repeat. `out` is the in-place
+    target, or the dtype of a fresh array. apply(*operands) gives the C-order
+    result that is stored into it.
+    """
+    ins = [_operand(x, shape, to_float) for x in operands]
+    if isinstance(out, DType):
+        out = create(shape, out)
+    vals = apply(*ins)
+    del ins  # free the operand values before the result is encoded
+    scatter(out, vals)
+    record_scalar_ops(out.size)
+    return out
 
 
 def elementwise_binary(op: str, a: ArrayView, b: ArrayView) -> ArrayView:
@@ -169,15 +181,8 @@ def elementwise_binary(op: str, a: ArrayView, b: ArrayView) -> ArrayView:
     _require_numeric(b.dtype)
     out_dtype = promote_dtypes(a.dtype, b.dtype)
     out_shape = broadcast_shapes(a.shape, b.shape)
-    va = _cast_for(_gather_at(a, out_shape), a.dtype, out_dtype)
-    vb = _cast_for(_gather_at(b, out_shape), b.dtype, out_dtype)
-    fn = _binary_fn(op, out_dtype)
-    out = create(out_shape, out_dtype)
-    vals = _apply(fn, va, vb)
-    del va, vb  # free the operand values before the result is encoded
-    scatter(out, vals)
-    record_scalar_ops(out.size)
-    return out
+    return _map(_binary_apply(op, out_dtype), (a, b), out_shape, out_dtype,
+                to_float=out_dtype.kind is Kind.FLOAT)
 
 
 def _scalar_operand(a_dtype: DType, s: Scalar) -> tuple[DType, Scalar]:
@@ -202,16 +207,9 @@ def scalar_binary(op: str, a: ArrayView, s: Scalar, scalar_side: str = "right") 
     if scalar_side not in ("left", "right"):
         raise ValueError(f"scalar_side must be 'left' or 'right', got {scalar_side!r}")
     out_dtype, s = _scalar_operand(a.dtype, s)
-    va = _cast_for(gather(a), a.dtype, out_dtype)
-    if out_dtype.kind is Kind.FLOAT:
-        s = float(s)
-    operands = (repeat(s), va) if scalar_side == "left" else (va, repeat(s))
-    vals = _apply(_binary_fn(op, out_dtype), *operands)
-    del va, operands
-    out = create(a.shape, out_dtype)
-    scatter(out, vals)
-    record_scalar_ops(out.size)
-    return out
+    operands = (s, a) if scalar_side == "left" else (a, s)
+    return _map(_binary_apply(op, out_dtype), operands, a.shape, out_dtype,
+                to_float=out_dtype.kind is Kind.FLOAT)
 
 
 def _sqrt(v) -> float:
@@ -232,37 +230,27 @@ def _sqrt_all(va: list) -> list:
     return vals if total == total else list(map(_sqrt, va))
 
 
+_UNARY_FN = {
+    "square": lambda va: [v * v for v in va],
+    "neg": lambda va: [-v for v in va],
+    "sqrt": _sqrt_all,
+}
+
+
 def elementwise_unary(op: str, a: ArrayView) -> ArrayView:
     """square, sqrt or neg over every element; sqrt of an int array yields float64."""
     _require_numeric(a.dtype)
-    va = gather(a)
-    if op == "square":
-        out_dtype, vals = a.dtype, [v * v for v in va]
-    elif op == "neg":
-        out_dtype, vals = a.dtype, [-v for v in va]
-    elif op == "sqrt":
-        out_dtype = a.dtype if a.dtype.kind is Kind.FLOAT else float64
-        vals = _sqrt_all(va)
-    else:
-        raise ValueError(f"unknown unary op {op!r}")
-    del va
-    out = create(a.shape, out_dtype)
-    scatter(out, vals)
-    record_scalar_ops(out.size)
-    return out
-
-
-def _reject_aliasing_strides(target: ArrayView) -> None:
-    for ext, st in zip(target.shape, target.strides):
-        if ext > 1 and st == 0:
-            raise BroadcastError(
-                "in-place target has a zero stride on an extent-"
-                f"{ext} axis; writes would alias")
+    try:
+        apply = _UNARY_FN[op]
+    except KeyError:
+        raise ValueError(f"unknown unary op {op!r}") from None
+    out_dtype = float64 if op == "sqrt" and a.dtype.kind is not Kind.FLOAT else a.dtype
+    return _map(apply, (a,), a.shape, out_dtype)
 
 
 def elementwise_binary_inplace(op: str, target: ArrayView,
                                b: Union[ArrayView, Scalar]) -> None:
-    """Apply op into target's own storage; allocates no buffers.
+    """Apply op into target's own storage, as NumPy's out=; allocates no buffers.
 
     The second operand broadcasts to the target's shape but may never expand
     it. Results are encoded back in the target's dtype; a fractional result
@@ -271,8 +259,11 @@ def elementwise_binary_inplace(op: str, target: ArrayView,
     if not target.flags.writeable:
         raise NotWriteableError("in-place target is not writeable")
     _require_numeric(target.dtype)
-    _reject_aliasing_strides(target)
-    vt = gather(target)
+    for ext, st in zip(target.shape, target.strides):
+        if ext > 1 and st == 0:
+            raise BroadcastError(
+                "in-place target has a zero stride on an extent-"
+                f"{ext} axis; writes would alias")
     if isinstance(b, ArrayView):
         _require_numeric(b.dtype)
         if broadcast_shapes(target.shape, b.shape) != target.shape:
@@ -280,15 +271,10 @@ def elementwise_binary_inplace(op: str, target: ArrayView,
                 f"in-place operand of shape {b.shape} would expand target "
                 f"shape {target.shape}")
         domain = promote_dtypes(target.dtype, b.dtype)
-        vb = _cast_for(_gather_at(b, target.shape), b.dtype, domain)
     else:
         domain, b = _scalar_operand(target.dtype, b)
-        vb = repeat(float(b) if domain.kind is Kind.FLOAT else b)
-    vt = _cast_for(vt, target.dtype, domain)
-    vals = _apply(_binary_fn(op, domain), vt, vb)
-    del vt, vb
-    scatter(target, vals)
-    record_scalar_ops(target.size)
+    _map(_binary_apply(op, domain), (target, b), target.shape, target,
+         to_float=domain.kind is Kind.FLOAT)
 
 
 def compare(op: str, a: ArrayView, b: Union[ArrayView, Scalar]) -> ArrayView:
@@ -299,18 +285,12 @@ def compare(op: str, a: ArrayView, b: Union[ArrayView, Scalar]) -> ArrayView:
         fn = _COMPARE_FN[op]
     except KeyError:
         raise ValueError(f"unknown comparison {op!r}") from None
+    out_shape = a.shape
     if isinstance(b, ArrayView):
         if b.dtype.is_structured:
             raise TypeError("cannot compare structured elements")
         out_shape = broadcast_shapes(a.shape, b.shape)
-        vals = list(map(fn, _gather_at(a, out_shape), _gather_at(b, out_shape)))
-    else:
-        out_shape = a.shape
-        vals = list(map(fn, gather(a), repeat(b)))
-    out = create(out_shape, bool_)
-    scatter(out, vals)
-    record_scalar_ops(out.size)
-    return out
+    return _map(partial(_apply, fn), (a, b), out_shape, bool_)
 
 
 def mask_select(a: ArrayView, mask: ArrayView) -> ArrayView:
@@ -324,10 +304,13 @@ def mask_select(a: ArrayView, mask: ArrayView) -> ArrayView:
     if mask.shape[0] != a.shape[0]:
         raise ShapeError(
             f"mask length {mask.shape[0]} != leading extent {a.shape[0]}")
-    keep = [i for i, m in enumerate(gather(mask)) if m]
-    out = create((len(keep),) + a.shape[1:], a.dtype)
-    for di, si in enumerate(keep):
-        copy_elements(index_axis(a, 0, si), index_axis(out, 0, di))
+    keep = gather(mask)
+    out = create((sum(keep),) + a.shape[1:], a.dtype)
+    if out.size:
+        data = memoryview(_read_packed(a))
+        row = len(data) // a.shape[0]
+        rows = (data[i:i + row] for i in range(0, len(data), row))
+        out.buffer.raw[:] = b"".join(compress(rows, keep))
     return out
 
 

@@ -78,12 +78,12 @@ def memmap_open(path, mode: Union[MemmapMode, str], shape: Sequence[int],
         raise MappingSizeError(
             f"file {path} holds {os.path.getsize(path)} bytes, mapping needs {nbytes}")
     read_only = mode is MemmapMode.READ_ONLY
-    if nbytes == 0:
-        buf = Buffer(bytearray(0), Backing.FILE_MAPPED, read_only=read_only)
-    else:
+    raw = bytearray(0)  # mmap cannot map zero bytes
+    if nbytes:
         with open(path, "rb" if read_only else "r+b") as f:
             access = mmap.ACCESS_READ if read_only else mmap.ACCESS_WRITE
-            buf = Buffer.from_mmap(mmap.mmap(f.fileno(), nbytes, access=access), read_only)
+            raw = mmap.mmap(f.fileno(), nbytes, access=access)
+    buf = Buffer(raw, Backing.FILE_MAPPED, read_only=read_only)
     return ArrayView(buf, 0, shape, contiguous_strides(shape, dtype.itemsize), dtype)
 
 

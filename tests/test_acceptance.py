@@ -265,8 +265,8 @@ def test_criterion_10_property_suites():
         base = nv.reshape(nv.arange(0, math.prod(shape), 1), shape)
         w = _random_chain(rng, base)
         limit = w.buffer.nbytes - w.itemsize
-        for off in nv.iter_offsets(w):
-            assert 0 <= off <= limit
+        for idx in itertools.product(*map(range, w.shape)):
+            assert 0 <= nv.element_offset(w, idx) <= limit
         if w.ndim and w.size:
             try:
                 nv.element_offset(w, (w.shape[0],) + (0,) * (w.ndim - 1))

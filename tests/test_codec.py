@@ -2,12 +2,14 @@
 
 gather, scatter and copy_elements cover a view with runs and move each run
 through one memoryview slice. Every test here checks them against the
-per-element codec: decode_element / encode_element at each offset that
-iter_offsets yields, over random view chains, every scalar dtype, and heap,
-file-mapped and foreign (ctypes) buffers.
+per-element codec: decode_element / encode_element at the element_offset of
+each index in C-order, over random view chains, every scalar dtype, and heap,
+file-mapped and foreign (ctypes) buffers. Neither the codec nor these
+offsets go through the run walker under test.
 """
 
 import ctypes
+import itertools
 import random
 import struct
 
@@ -87,8 +89,13 @@ def random_chain(rng, v, writeable_only=False):
     return v
 
 
+def offsets(v) -> list:
+    """Byte offset of every element in C-order, one element_offset call each."""
+    return [nv.element_offset(v, idx) for idx in itertools.product(*map(range, v.shape))]
+
+
 def reference_gather(v) -> list:
-    return [decode_element(v.dtype, v.buffer.raw, off) for off in nv.iter_offsets(v)]
+    return [decode_element(v.dtype, v.buffer.raw, off) for off in offsets(v)]
 
 
 def same_values(got, want) -> bool:
@@ -107,7 +114,7 @@ def check_gather(v) -> None:
 def check_scatter(v, rng) -> None:
     values = [random_value(rng, v.dtype) for _ in range(v.size)]
     before = raw_bytes(v.buffer)
-    for off, value in zip(nv.iter_offsets(v), values):
+    for off, value in zip(offsets(v), values):
         encode_element(v.dtype, v.buffer.raw, off, value)
     want = raw_bytes(v.buffer)
     restore(v.buffer, before)
@@ -216,8 +223,8 @@ def test_copy_between_overlapping_views_reads_the_source_first():
             continue
         before = raw_bytes(base.buffer)
         want = bytearray(before)
-        chunks = [before[off:off + 8] for off in nv.iter_offsets(src)]
-        for off, chunk in zip(nv.iter_offsets(dst), chunks):
+        chunks = [before[off:off + 8] for off in offsets(src)]
+        for off, chunk in zip(offsets(dst), chunks):
             want[off:off + 8] = chunk
         nv.copy_elements(src, dst)
         assert raw_bytes(base.buffer) == bytes(want), (src, dst)

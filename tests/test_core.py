@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from ndview.errors import (
     NotWriteableError,
     ReinterpretError,
     ShapeError,
+    ValueRangeError,
 )
 
 
@@ -77,6 +79,14 @@ class TestArange:
     def test_zero_step(self):
         with pytest.raises(ValueError):
             nv.arange(0, 5, 0)
+
+    def test_values_the_dtype_cannot_hold(self):
+        with pytest.raises(ValueRangeError, match="cannot store 128"):
+            nv.arange(0, 300, 1, nv.int8)
+        with pytest.raises(ValueRangeError, match="cannot store -1"):
+            nv.arange(-1, 2, 1, nv.uint8)
+        with pytest.raises(ValueRangeError, match="cannot store 0.0"):
+            nv.arange(0.0, 3.0, 1.0, nv.int64)
 
 
 class TestElementOffset:
@@ -193,6 +203,15 @@ class TestSliceView:
         assert x[1].tolist() == [3, 4, 5]
         assert x[:, 1].tolist() == [1, 4, 7]
         assert x[-1, -1] == 8
+        with pytest.raises(BoundsError, match="index -6 out of bounds for axis 0 with extent 5"):
+            nv.arange(5)[-6]
+        m = nv.reshape(nv.arange(0, 6, 1), (2, 3))
+        with pytest.raises(BoundsError, match="index -3 out of bounds for axis 0 with extent 2"):
+            m[-3, 0]
+        with pytest.raises(BoundsError, match="index -3 out of bounds for axis 0 with extent 2"):
+            m[-3]
+        with pytest.raises(BoundsError, match="index -4 out of bounds for axis 1 with extent 3"):
+            m[0, -4] = 1
 
     def test_setitem_scalar_fill(self):
         x = make_grid()
@@ -375,8 +394,8 @@ def test_bounds_chain(data):
     base = nv.reshape(nv.arange(0, math.prod(shape), 1), shape)
     w = _draw_chain(data, base)
     limit = w.buffer.nbytes - w.itemsize
-    for off in nv.iter_offsets(w):
-        assert 0 <= off <= limit
+    for idx in itertools.product(*map(range, w.shape)):
+        assert 0 <= nv.element_offset(w, idx) <= limit
     if w.ndim and w.size:
         bad = (w.shape[0],) + tuple(0 for _ in w.shape[1:])
         with pytest.raises(BoundsError):

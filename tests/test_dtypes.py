@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ndview as nv
-from ndview.dtypes import ByteOrder, DType, Kind
+from ndview.dtypes import ByteOrder, DType, Kind, _compiled_struct, element_struct
 from ndview.errors import (
     ByteOrderError,
     FieldNotFoundError,
@@ -170,3 +170,10 @@ def test_round_trip_property(s):
 def test_byteorder_invariant(dt):
     na = dt.itemsize == 1 or dt.kind is Kind.BOOL
     assert (dt.byteorder is ByteOrder.NOT_APPLICABLE) == na
+
+
+def test_struct_cache_is_bounded():
+    for count in range(1, 1001):
+        assert element_struct(nv.int64, count).size == 8 * count
+    info = _compiled_struct.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
