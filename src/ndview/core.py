@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from struct import error as _struct_error
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .counters import record_allocation
 from .dtypes import (
@@ -109,10 +109,6 @@ class Buffer:
             raise AllocationError(f"allocation of {nbytes} bytes failed: {exc}") from None
         record_allocation(nbytes)
         return cls(raw, Backing.HEAP)
-
-    @classmethod
-    def from_foreign(cls, raw, read_only: bool, owner=None) -> "Buffer":
-        return cls(raw, Backing.FOREIGN, read_only=read_only, owner=owner)
 
     @property
     def nbytes(self) -> int:
@@ -244,12 +240,14 @@ class ArrayView:
         return transpose(self)
 
     def tolist(self):
-        """Values as nested Python lists (a scalar for rank-0 views)."""
+        """Values as nested Python lists (a scalar for rank-0 views), read with one gather."""
+        vals = gather(self)
         if not self.shape:
-            return get_element(self, ())
-        if self.ndim == 1:
-            return gather(self)
-        return [index_axis(self, 0, i).tolist() for i in range(self.shape[0])]
+            return vals[0]
+        for k in range(self.ndim - 1, 0, -1):  # group the innermost remaining axis
+            ext = self.shape[k]
+            vals = [vals[i * ext:(i + 1) * ext] for i in range(math.prod(self.shape[:k]))]
+        return vals
 
     def __repr__(self) -> str:
         return (f"ArrayView(shape={self.shape}, strides={self.strides}, "
@@ -286,6 +284,9 @@ class ArrayView:
         return view
 
     def __setitem__(self, key, value):
+        if isinstance(key, ArrayView):
+            # x[mask] is a fresh copy, so a write through it would never reach x
+            raise TypeError("mask assignment is not supported: x[mask] returns a copy")
         items = key if isinstance(key, tuple) else (key,)
         if (not isinstance(key, str) and len(items) == self.ndim
                 and all(map(_is_index, items))):
@@ -401,7 +402,7 @@ def arange(start, stop=None, step=1, dtype: DType = int64) -> ArrayView:
     if stop is None:
         start, stop = 0, start
     if step == 0:
-        raise ValueError("arange step cannot be zero")
+        raise ShapeError("arange step cannot be zero")
     if all(isinstance(v, int) for v in (start, stop, step)):
         count = max(0, -((start - stop) // step) if step > 0 else -((stop - start) // -step))
     else:
@@ -428,7 +429,7 @@ def array_from(values, dtype: DType) -> ArrayView:
         if depth == len(shape):
             yield v
         else:
-            if len(v) != shape[depth]:
+            if not isinstance(v, list) or len(v) != shape[depth]:
                 raise ShapeError("ragged nested list")
             for item in v:
                 yield from flatten(item, depth + 1)
@@ -469,18 +470,9 @@ def set_element(v: ArrayView, idx: Sequence[int], value) -> None:
 # ---------------------------------------------------------------------------
 # View transformations (all zero-copy unless stated)
 
-SliceLike = Union[slice, tuple]
-
-
-def _as_slice(item: SliceLike) -> slice:
-    if isinstance(item, slice):
-        return item
-    start, stop, step = (tuple(item) + (None,) * 3)[:3]
-    return slice(start, stop, step)
-
-
-def slice_view(v: ArrayView, spec: Sequence[SliceLike]) -> ArrayView:
-    """Per-axis start:stop:step selection; missing trailing axes pass through whole.
+def slice_view(v: ArrayView, spec: Sequence[slice]) -> ArrayView:
+    """Per-axis start:stop:step selection, one slice per leading axis; missing
+    trailing axes pass through whole.
 
     Bounds follow the half-open convention: negative indices count from the
     end, out-of-range bounds clamp, and a negative step walks backward with
@@ -491,10 +483,11 @@ def slice_view(v: ArrayView, spec: Sequence[SliceLike]) -> ArrayView:
     offset = v.base_offset
     shape = list(v.shape)
     strides = list(v.strides)
-    for k, item in enumerate(spec):
-        sl = _as_slice(item)
+    for k, sl in enumerate(spec):
+        if not isinstance(sl, slice):
+            raise TypeError(f"slice spec entries must be slices, got {sl!r} on axis {k}")
         if sl.step == 0:
-            raise ValueError(f"slice step is zero on axis {k}")
+            raise ShapeError(f"slice step is zero on axis {k}")
         start, stop, step = sl.indices(v.shape[k])
         count = len(range(start, stop, step))
         if count > 0:
@@ -737,12 +730,6 @@ def copy_elements(src: ArrayView, dst: ArrayView) -> None:
         raise ShapeError(f"itemsize mismatch: {src.itemsize} vs {dst.itemsize}")
     if not dst.flags.writeable:
         raise NotWriteableError("destination view is not writeable")
-    if src.size == 0:
-        return
-    if src.flags.c_contiguous and dst.flags.c_contiguous:  # one run, which memoryview moves whole
-        s, d, n = src.base_offset, dst.base_offset, src.size * src.itemsize
-        dst.buffer._view[d:d + n] = src.buffer._view[s:s + n]
-        return
     _write_packed(dst, _read_packed(src))
 
 

@@ -18,7 +18,7 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     ByteOrderError,
@@ -285,16 +285,16 @@ def encode_element(dt: DType, buf, offset: int, value) -> None:
     declaration order.
     """
     if dt.is_structured:
-        if isinstance(value, Mapping):
-            items: Iterable = ((f, value[f.name]) for f in dt.fields)
-        else:
-            seq = tuple(value)
-            if len(seq) != len(dt.fields):
-                raise StructFieldError(
-                    f"record needs {len(dt.fields)} values, got {len(seq)}"
-                )
-            items = zip(dt.fields, seq)
-        for f, v in items:
+        try:
+            seq = ([value[f.name] for f in dt.fields] if isinstance(value, Mapping)
+                   else tuple(value))
+        except KeyError as exc:
+            raise StructFieldError(f"record {value!r} has no field {exc}") from None
+        except TypeError:
+            raise StructFieldError(f"record value {value!r} is not a mapping or sequence") from None
+        if len(seq) != len(dt.fields):
+            raise StructFieldError(f"record needs {len(dt.fields)} values, got {len(seq)}")
+        for f, v in zip(dt.fields, seq):
             encode_element(f.dtype, buf, offset + f.offset, v)
         return
     try:

@@ -24,8 +24,6 @@ from .core import (
     _read_packed,
     create,
     gather,
-    index_axis,
-    reshape,
     scatter,
 )
 from .counters import record_scalar_ops
@@ -318,39 +316,32 @@ def dot(a: ArrayView, b: ArrayView) -> ArrayView:
     """Naive triple-loop matrix product; always float64.
 
     1-D operands follow the standard promotion (a row vector on the left,
-    a column vector on the right) and the inserted axes are dropped from the
-    result. Counts 2*m*n*k scalar operations.
+    a column vector on the right) and the result drops the inserted axes:
+    its shape is a.shape[:-1] + b.shape[1:]. Each operand is read with one
+    gather. Counts 2*m*n*k scalar operations.
     """
     _require_numeric(a.dtype)
     _require_numeric(b.dtype)
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         raise ShapeError(f"dot takes 1-D or 2-D operands, got ranks {a.ndim} and {b.ndim}")
-    a2 = reshape(a, (1, a.shape[0])) if a.ndim == 1 else a
-    b2 = reshape(b, (b.shape[0], 1)) if b.ndim == 1 else b
-    m, ka = a2.shape
-    kb, n = b2.shape
-    if ka != kb:
-        raise ShapeError(f"inner extents differ: {a2.shape} vs {b2.shape}")
-    k = ka
-    a_rows = [list(map(float, gather(index_axis(a2, 0, i)))) for i in range(m)]
-    b_rows = [list(map(float, gather(index_axis(b2, 0, t)))) for t in range(k)]
-    out = create((m, n), float64)
+    k = a.shape[-1]
+    if b.shape[0] != k:
+        raise ShapeError(f"inner extents differ: {a.shape} vs {b.shape}")
+    m = a.shape[0] if a.ndim == 2 else 1
+    n = b.shape[1] if b.ndim == 2 else 1
+    av = _operand(a, a.shape, True)
+    bv = _operand(b, b.shape, True)
+    b_rows = [bv[t * n:(t + 1) * n] for t in range(k)]
+    del bv  # the rows hold every value; free the flat list before the output is created
+    out = create(a.shape[:-1] + b.shape[1:], float64)
     vals: list = []
     for i in range(m):
-        arow = a_rows[i]
         acc = [0.0] * n
-        for t in range(k):
-            at = arow[t]
-            acc = [s + at * v for s, v in zip(acc, b_rows[t])]
+        for at, b_row in zip(av[i * k:(i + 1) * k], b_rows):
+            acc = [s + at * v for s, v in zip(acc, b_row)]
         vals.extend(acc)
     scatter(out, vals)
     record_scalar_ops(2 * m * n * k)
-    if a.ndim == 1 and b.ndim == 1:
-        return reshape(out, ())
-    if a.ndim == 1:
-        return reshape(out, (n,))
-    if b.ndim == 1:
-        return reshape(out, (m,))
     return out
 
 

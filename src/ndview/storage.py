@@ -151,7 +151,7 @@ def from_interface(source) -> ArrayView:
         raw = (ctypes.c_ubyte * (hi - lo)).from_address(address + lo)
     else:
         raw = (ctypes.c_ubyte * 0)()
-    buf = Buffer.from_foreign(raw, read_only=read_only, owner=owner)
+    buf = Buffer(raw, Backing.FOREIGN, read_only=read_only, owner=owner)
     return ArrayView(buf, -lo, shape, strides, dtype, writeable=not read_only)
 
 

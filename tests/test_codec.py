@@ -5,7 +5,9 @@ through one memoryview slice. Every test here checks them against the
 per-element codec: decode_element / encode_element at the element_offset of
 each index in C-order, over random view chains, every scalar dtype, and heap,
 file-mapped and foreign (ctypes) buffers. Neither the codec nor these
-offsets go through the run walker under test.
+offsets go through the run walker under test. Every read also checks
+ArrayView.tolist, which nests one gather by shape, against the same
+per-element values nested index by index.
 """
 
 import ctypes
@@ -98,6 +100,21 @@ def reference_gather(v) -> list:
     return [decode_element(v.dtype, v.buffer.raw, off) for off in offsets(v)]
 
 
+def reference_tolist(v, idx=()):
+    if len(idx) == v.ndim:
+        return decode_element(v.dtype, v.buffer.raw, nv.element_offset(v, idx))
+    return [reference_tolist(v, idx + (i,)) for i in range(v.shape[len(idx)])]
+
+
+def exact(x):
+    """x with every float replaced by its bits and every scalar tagged with its type."""
+    if isinstance(x, list):
+        return [exact(e) for e in x]
+    if isinstance(x, dict):
+        return {k: exact(e) for k, e in x.items()}
+    return type(x), struct.pack("<d", x) if isinstance(x, float) else x
+
+
 def same_values(got, want) -> bool:
     """Equal values of equal types; floats compare by their bits, so NaNs match."""
     if [type(x) for x in got] != [type(x) for x in want]:
@@ -109,6 +126,7 @@ def same_values(got, want) -> bool:
 def check_gather(v) -> None:
     got = nv.gather(v)
     assert same_values(got, reference_gather(v)), v
+    assert exact(v.tolist()) == exact(reference_tolist(v)), v
 
 
 def check_scatter(v, rng) -> None:

@@ -11,6 +11,7 @@ from ndview.errors import (
     NotWriteableError,
     ReinterpretError,
     ShapeError,
+    StructFieldError,
     ValueRangeError,
 )
 
@@ -80,6 +81,10 @@ class TestArange:
         with pytest.raises(ValueError):
             nv.arange(0, 5, 0)
 
+    def test_zero_step_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="step cannot be zero"):
+            nv.arange(0, 5, 0)
+
     def test_values_the_dtype_cannot_hold(self):
         with pytest.raises(ValueRangeError, match="cannot store 128"):
             nv.arange(0, 300, 1, nv.int8)
@@ -140,6 +145,32 @@ class TestGetSet:
             x[0, False] = 5
         assert x.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
+    def test_mask_assignment_rejected(self):
+        # x[mask] is a copy, so writing through it would silently lose the values
+        x = nv.arange(6)
+        with pytest.raises(TypeError, match="mask assignment"):
+            x[nv.compare("ge", x, 3)] = 0
+        assert x.tolist() == [0, 1, 2, 3, 4, 5]
+        with pytest.raises(TypeError, match="mask assignment"):
+            x[nv.compare("ge", x, 3)] += 10
+        assert x.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+class TestArrayFromMalformedInput:
+    def test_ragged_nested_list(self):
+        with pytest.raises(ShapeError, match="ragged"):
+            nv.array_from([[1, 2], 3], nv.int64)
+
+    def test_record_missing_a_field(self):
+        from ndview.demos import measurement_dtype
+        with pytest.raises(StructFieldError, match="'pos'"):
+            nv.array_from([{"time": 1}], measurement_dtype())
+
+    def test_record_that_is_not_a_mapping_or_sequence(self):
+        from ndview.demos import measurement_dtype
+        with pytest.raises(StructFieldError, match="5"):
+            nv.array_from([5], measurement_dtype())
+
 
 class TestOverlappingAssignment:
     # Expected values are NumPy 2.4's results for the same statements.
@@ -195,6 +226,14 @@ class TestSliceView:
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
             nv.slice_view(make_grid(), [slice(None, None, 0)])
+
+    def test_zero_step_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="step is zero on axis 0"):
+            nv.slice_view(nv.arange(5), [slice(0, 5, 0)])
+
+    def test_spec_entries_must_be_slices(self):
+        with pytest.raises(TypeError, match="must be slices"):
+            nv.slice_view(make_grid(), [(0, 2)])
 
     def test_getitem_sugar(self):
         x = make_grid()

@@ -250,6 +250,24 @@ def dot_oracle(a_rows, b_rows):
     return out
 
 
+def operand_with_layout(shape, dtype, layout, values):
+    """A view of `shape` holding `values` in C-order: packed, transposed (reversed
+    for 1-D) or every second element of a larger array."""
+    if layout == "contig":
+        v = nv.create(shape, dtype)
+    elif layout == "transposed" and len(shape) == 2:
+        v = nv.transpose(nv.create(shape[::-1], dtype))
+    elif layout == "transposed":
+        v = nv.slice_view(nv.create(shape, dtype), [slice(None, None, -1)])
+    else:
+        big = nv.create(tuple(2 * e + 1 for e in shape), dtype)
+        nv.fill_flat(big, [99] * big.size)
+        v = nv.slice_view(big, [slice(1, None, 2)] * len(shape))
+    assert v.shape == shape
+    nv.scatter(v, values)
+    return v
+
+
 class TestDot:
     def test_identity(self):
         eye = arr([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], nv.float64)
@@ -269,6 +287,42 @@ class TestDot:
         b_rows = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)]
         out = nv.dot(arr(a_rows, nv.float64), arr(b_rows, nv.float64))
         assert out.tolist() == dot_oracle(a_rows, b_rows)
+
+    @pytest.mark.parametrize("k", [4, 0])
+    @pytest.mark.parametrize("layout", ["contig", "transposed", "strided"])
+    @pytest.mark.parametrize("dtypes", [(nv.float64, nv.float64), (nv.int64, nv.int64),
+                                        (nv.int32, nv.float32)], ids=str)
+    @pytest.mark.parametrize("ranks", [(2, 2), (2, 1), (1, 2), (1, 1)], ids=str)
+    def test_matches_triple_loop_over_operand_layouts(self, ranks, dtypes, layout, k):
+        import random
+        import struct
+        rng = random.Random(f"{ranks}{dtypes}{layout}{k}")
+        m = 3 if ranks[0] == 2 else 1
+        n = 5 if ranks[1] == 2 else 1
+
+        def value(dt):  # float32 values get 16 significant bits, which it holds exactly
+            if dt == nv.float64:
+                return rng.uniform(-1, 1)
+            x = rng.randint(-2 ** 15, 2 ** 15)
+            return x if dt.kind is nv.Kind.SIGNED else x / 2 ** 10
+
+        a_rows = [[value(dtypes[0]) for _ in range(k)] for _ in range(m)]
+        b_rows = [[value(dtypes[1]) for _ in range(n)] for _ in range(k)]
+        a_shape = (m, k) if ranks[0] == 2 else (k,)
+        b_shape = (k, n) if ranks[1] == 2 else (k,)
+        a = operand_with_layout(a_shape, dtypes[0], layout, [x for r in a_rows for x in r])
+        b = operand_with_layout(b_shape, dtypes[1], layout, [x for r in b_rows for x in r])
+        with counting() as tally:
+            out = nv.dot(a, b)
+        want = dot_oracle([[float(x) for x in r] for r in a_rows],
+                          [[float(x) for x in r] for r in b_rows]) if k else [[0.0] * n] * m
+        assert out.shape == {(2, 2): (m, n), (2, 1): (m,), (1, 2): (n,), (1, 1): ()}[ranks]
+        assert out.dtype == nv.float64
+        got = nv.gather(out)
+        assert [struct.pack("<d", x) for x in got] \
+            == [struct.pack("<d", x) for row in want for x in row]
+        assert tally.scalar_ops == 2 * m * n * k
+        assert tally.buffers_allocated == 1
 
     def test_inner_mismatch(self):
         with pytest.raises(ShapeError):
