@@ -92,7 +92,6 @@ from .kernels import (
     scalar_binary,
 )
 from .storage import (
-    ArrayInterfaceDescriptor,
     MemmapMode,
     flush,
     from_interface,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .core import ArrayView
+from .core import ArrayView, _select
 from .errors import BoundsError, BroadcastError
 
 __all__ = ["BroadcastPlan", "broadcast_shapes", "aligned_strides",
@@ -84,8 +84,6 @@ def broadcast_plan(operands: Sequence[ArrayView]) -> BroadcastPlan:
 def broadcast_view(v: ArrayView, target: Sequence[int]) -> ArrayView:
     """Zero-copy view of v with shape `target`; result is non-writeable."""
     target = tuple(int(e) for e in target)
-    if broadcast_shapes(v.shape, target) != target:
-        raise BroadcastError(f"shape {v.shape} does not broadcast to {target}")
     strides = aligned_strides(v.shape, v.strides, target)
     return ArrayView(v.buffer, v.base_offset, target, strides, v.dtype,
                      writeable=False, is_view=True)
@@ -95,7 +93,4 @@ def newaxis_view(v: ArrayView, axis: int) -> ArrayView:
     """Insert an extent-1, stride-0 axis at `axis` (zero-copy)."""
     if not 0 <= axis <= v.ndim:
         raise BoundsError(f"newaxis position {axis} out of range for rank {v.ndim}")
-    shape = v.shape[:axis] + (1,) + v.shape[axis:]
-    strides = v.strides[:axis] + (0,) + v.strides[axis:]
-    return ArrayView(v.buffer, v.base_offset, shape, strides, v.dtype,
-                     writeable=v.flags.writeable, is_view=True)
+    return _select(v, (slice(None),) * axis + (None,))

@@ -92,12 +92,6 @@ class Buffer:
         view = memoryview(raw if raw is not None else b"")
         self._view = view if view.format == "B" else view.cast("B")  # ctypes exports "<B"
 
-    def __del__(self):
-        try:
-            self._view.release()
-        except Exception:
-            pass
-
     @classmethod
     def allocate(cls, nbytes: int) -> "Buffer":
         """Fresh zero-filled heap buffer; counts toward the active tally."""
@@ -138,6 +132,14 @@ def contiguous_strides(shape: Sequence[int], itemsize: int) -> Extents:
         strides[k] = acc
         acc *= shape[k]
     return tuple(strides)
+
+
+def _extents(shape: Sequence[int]) -> Extents:
+    """A shape as a tuple of ints, or ShapeError if any extent is negative."""
+    shape = tuple(int(e) for e in shape)
+    if any(e < 0 for e in shape):
+        raise ShapeError(f"negative extent in shape {shape}")
+    return shape
 
 
 def _contiguity(shape: Extents, strides: Extents, itemsize: int) -> tuple[bool, bool]:
@@ -198,12 +200,10 @@ class ArrayView:
     def __init__(self, buffer: Buffer, base_offset: int, shape: Sequence[int],
                  strides: Sequence[int], dtype: DType, *,
                  writeable: bool = True, is_view: bool = False):
-        shape = tuple(int(e) for e in shape)
+        shape = _extents(shape)
         strides = tuple(int(s) for s in strides)
         if len(shape) != len(strides):
             raise ShapeError(f"rank mismatch: shape {shape} vs strides {strides}")
-        if any(e < 0 for e in shape):
-            raise ShapeError(f"negative extent in shape {shape}")
         lo, hi = _byte_span(shape, strides, dtype.itemsize)
         if hi and (base_offset + lo < 0 or base_offset + hi > buffer.nbytes):
             raise BoundsError(f"view spans bytes [{base_offset + lo}, {base_offset + hi}) "
@@ -257,40 +257,23 @@ class ArrayView:
     # -- indexing sugar -----------------------------------------------------
 
     def __getitem__(self, key):
-        from . import broadcast as _bc
         from . import kernels as _k
         if isinstance(key, str):
             return _k.field_view(self, key)
         if isinstance(key, ArrayView):
             return _k.mask_select(self, key)
         items = key if isinstance(key, tuple) else (key,)
-        if sum(1 for it in items if it is not None) > self.ndim:
-            raise BoundsError(f"too many indices for rank-{self.ndim} view")
         if len(items) == self.ndim and all(map(_is_index, items)):
-            return get_element(self, self._normalize_index(items))
-        view, axis = self, 0
-        for it in items:
-            if it is None:
-                view = _bc.newaxis_view(view, axis)
-                axis += 1
-            elif isinstance(it, slice):
-                spec = [slice(None)] * axis + [it]
-                view = slice_view(view, spec)
-                axis += 1
-            elif _is_index(it):
-                view = index_axis(view, axis, _wrap_index(it, view.shape[axis], axis))
-            else:
-                raise TypeError(f"unsupported index {it!r}")
-        return view
+            return get_element(self, items)
+        return _select(self, items)
 
     def __setitem__(self, key, value):
         if isinstance(key, ArrayView):
             # x[mask] is a fresh copy, so a write through it would never reach x
             raise TypeError("mask assignment is not supported: x[mask] returns a copy")
         items = key if isinstance(key, tuple) else (key,)
-        if (not isinstance(key, str) and len(items) == self.ndim
-                and all(map(_is_index, items))):
-            set_element(self, self._normalize_index(items), value)
+        if len(items) == self.ndim and all(map(_is_index, items)):
+            set_element(self, items, value)
             return
         target = self[key]
         if isinstance(value, ArrayView):
@@ -305,9 +288,6 @@ class ArrayView:
             copy_elements(broadcast_view(value, target.shape), target)
         else:
             scatter(target, [value] * target.size)
-
-    def _normalize_index(self, items) -> Extents:
-        return tuple(_wrap_index(i, ext, k) for k, (i, ext) in enumerate(zip(items, self.shape)))
 
     # -- arithmetic sugar (thin wrappers over the kernel module) -------------
 
@@ -389,9 +369,7 @@ class ArrayView:
 
 def create(shape: Sequence[int], dtype: DType) -> ArrayView:
     """Fresh zero-filled C-contiguous heap array."""
-    shape = tuple(int(e) for e in shape)
-    if any(e < 0 for e in shape):
-        raise ShapeError(f"negative extent in shape {shape}")
+    shape = _extents(shape)
     nbytes = math.prod(shape) * dtype.itemsize
     buf = Buffer.allocate(nbytes)
     return ArrayView(buf, 0, shape, contiguous_strides(shape, dtype.itemsize), dtype)
@@ -406,7 +384,10 @@ def arange(start, stop=None, step=1, dtype: DType = int64) -> ArrayView:
     if all(isinstance(v, int) for v in (start, stop, step)):
         count = max(0, -((start - stop) // step) if step > 0 else -((stop - start) // -step))
     else:
-        count = max(0, math.ceil((stop - start) / step))
+        length = (stop - start) / step
+        if not math.isfinite(length):
+            raise ShapeError(f"arange({start}, {stop}, {step}) has no finite length")
+        count = max(0, math.ceil(length))
     out = create((count,), dtype)
     scatter(out, [start + i * step for i in range(count)])
     return out
@@ -443,14 +424,12 @@ def array_from(values, dtype: DType) -> ArrayView:
 
 
 def element_offset(v: ArrayView, idx: Sequence[int]) -> int:
-    """Byte offset of the element at an index vector."""
+    """Byte offset of the element at an index vector; negative indices count from the end."""
     if len(idx) != v.ndim:
         raise BoundsError(f"index {tuple(idx)} has {len(idx)} axes, view has {v.ndim}")
     off = v.base_offset
     for k, (i, ext, st) in enumerate(zip(idx, v.shape, v.strides)):
-        if not 0 <= i < ext:
-            raise BoundsError(f"index {i} out of bounds for axis {k} with extent {ext}")
-        off += i * st
+        off += _wrap_index(i, ext, k) * st
     return off
 
 
@@ -470,6 +449,44 @@ def set_element(v: ArrayView, idx: Sequence[int], value) -> None:
 # ---------------------------------------------------------------------------
 # View transformations (all zero-copy unless stated)
 
+def _select(v: ArrayView, items: Sequence) -> ArrayView:
+    """One header for a key of ints, slices and None over v's leading axes.
+
+    An int moves the base offset and drops its axis; a slice scales the
+    stride and moves the offset to its first element; None inserts an
+    extent-1, stride-0 axis. Axes past the key pass through whole. Errors
+    name the axis of v that an item selects on.
+    """
+    offset = v.base_offset
+    shape, strides = [], []
+    k = 0  # the axis of v that the next int or slice selects on
+    for it in items:
+        if it is None:
+            shape.append(1)
+            strides.append(0)
+            continue
+        if k == v.ndim:
+            raise BoundsError(f"too many indices for rank-{v.ndim} view")
+        ext, st = v.shape[k], v.strides[k]
+        if isinstance(it, slice):
+            if it.step == 0:
+                raise ShapeError(f"slice step is zero on axis {k}")
+            start, stop, step = it.indices(ext)
+            count = len(range(start, stop, step))
+            if count:
+                offset += start * st
+            shape.append(count)
+            strides.append(st * step)
+        elif _is_index(it):
+            offset += _wrap_index(it, ext, k) * st
+        else:
+            raise TypeError(f"unsupported index {it!r}")
+        k += 1
+    return ArrayView(v.buffer, offset, shape + list(v.shape[k:]),
+                     strides + list(v.strides[k:]), v.dtype,
+                     writeable=v.flags.writeable, is_view=True)
+
+
 def slice_view(v: ArrayView, spec: Sequence[slice]) -> ArrayView:
     """Per-axis start:stop:step selection, one slice per leading axis; missing
     trailing axes pass through whole.
@@ -480,35 +497,17 @@ def slice_view(v: ArrayView, spec: Sequence[slice]) -> ArrayView:
     """
     if len(spec) > v.ndim:
         raise ShapeError(f"slice spec has {len(spec)} axes, view has {v.ndim}")
-    offset = v.base_offset
-    shape = list(v.shape)
-    strides = list(v.strides)
     for k, sl in enumerate(spec):
         if not isinstance(sl, slice):
             raise TypeError(f"slice spec entries must be slices, got {sl!r} on axis {k}")
-        if sl.step == 0:
-            raise ShapeError(f"slice step is zero on axis {k}")
-        start, stop, step = sl.indices(v.shape[k])
-        count = len(range(start, stop, step))
-        if count > 0:
-            offset += start * v.strides[k]
-        shape[k] = count
-        strides[k] = v.strides[k] * step
-    return ArrayView(v.buffer, offset, shape, strides, v.dtype,
-                     writeable=v.flags.writeable, is_view=True)
+    return _select(v, spec)
 
 
 def index_axis(v: ArrayView, axis: int, i: int) -> ArrayView:
-    """Select one position along an axis, dropping that axis (zero-copy)."""
+    """Select position i along an axis, dropping that axis (zero-copy); i < 0 counts from the end."""
     if not 0 <= axis < v.ndim:
         raise BoundsError(f"axis {axis} out of range for rank {v.ndim}")
-    if not 0 <= i < v.shape[axis]:
-        raise BoundsError(
-            f"index {i} out of bounds for axis {axis} with extent {v.shape[axis]}")
-    shape = v.shape[:axis] + v.shape[axis + 1:]
-    strides = v.strides[:axis] + v.strides[axis + 1:]
-    return ArrayView(v.buffer, v.base_offset + i * v.strides[axis], shape, strides,
-                     v.dtype, writeable=v.flags.writeable, is_view=True)
+    return _select(v, (slice(None),) * axis + (i,))
 
 
 def transpose(v: ArrayView) -> ArrayView:
@@ -524,9 +523,7 @@ def reshape(v: ArrayView, new_shape: Sequence[int]) -> ArrayView:
     copied into a fresh contiguous buffer (the result's is_view flag records
     which path ran).
     """
-    new_shape = tuple(int(e) for e in new_shape)
-    if any(e < 0 for e in new_shape):
-        raise ShapeError(f"negative extent in shape {new_shape}")
+    new_shape = _extents(new_shape)
     if math.prod(new_shape) != v.size:
         raise ShapeError(
             f"cannot reshape {v.size} elements into shape {new_shape} "

@@ -61,7 +61,6 @@ class Kind(Enum):
 
 class ByteOrder(Enum):
     LITTLE = "<"
-    BIG = ">"
     NOT_APPLICABLE = "|"
 
 
@@ -167,12 +166,11 @@ bool_ = DType(Kind.BOOL, 1)
 _KIND_BY_CHAR = {"i": Kind.SIGNED, "u": Kind.UNSIGNED, "f": Kind.FLOAT, "b": Kind.BOOL}
 
 
-def parse_typestr(s: str, allow_big_endian: bool = False) -> DType:
+def parse_typestr(s: str) -> DType:
     """Parse ``<order><kind><size>`` into a scalar DType.
 
-    Big-endian strings for multi-byte types are rejected by default; pass
-    ``allow_big_endian=True`` to parse them for round-trip purposes only
-    (arrays can never be constructed over big-endian data).
+    Big-endian strings for multi-byte types raise ByteOrderError: ndview
+    stores only little-endian data.
     """
     if not isinstance(s, str) or not s:
         raise TypestrError(f"empty typestr {s!r}, expected e.g. '<f8'")
@@ -195,11 +193,9 @@ def parse_typestr(s: str, allow_big_endian: bool = False) -> DType:
     if order_char == "|":
         raise TypestrError(f"byte order '|' invalid for multi-byte type {s!r}")
     if order_char == ">":
-        if not allow_big_endian:
-            raise ByteOrderError(
-                f"big-endian data unsupported: {s!r} (native representation is little-endian)"
-            )
-        return DType(kind, itemsize, ByteOrder.BIG)
+        raise ByteOrderError(
+            f"big-endian data unsupported: {s!r} (native representation is little-endian)"
+        )
     return DType(kind, itemsize, ByteOrder.LITTLE)
 
 
@@ -256,8 +252,6 @@ def element_code(dt: DType) -> str:
     """Format character of a scalar dtype, shared by struct and memoryview."""
     if dt.is_structured:
         raise TypestrError("structured dtypes are not decoded through a single struct")
-    if dt.byteorder is ByteOrder.BIG:
-        raise ByteOrderError(f"cannot decode big-endian dtype {dt}")
     return _STRUCT_CODE[(dt.kind, dt.itemsize)]
 
 

@@ -17,18 +17,16 @@ import ctypes
 import math
 import mmap
 import os
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .core import ArrayView, Backing, Buffer, _byte_span, _read_packed, contiguous_strides
+from .core import ArrayView, Backing, Buffer, _byte_span, _extents, _read_packed, contiguous_strides
 from .counters import record_allocation
 from .dtypes import DType, parse_typestr
-from .errors import MappingSizeError, RecordSizeError, ShapeError, StorageError
+from .errors import MappingSizeError, RecordSizeError, StorageError
 
 __all__ = [
     "MemmapMode",
-    "ArrayInterfaceDescriptor",
     "memmap_open",
     "flush",
     "from_interface",
@@ -65,9 +63,7 @@ def memmap_open(path, mode: Union[MemmapMode, str], shape: Sequence[int],
     large and map its leading bytes.
     """
     mode = MemmapMode.coerce(mode)
-    shape = tuple(int(e) for e in shape)
-    if any(e < 0 for e in shape):
-        raise ShapeError(f"negative extent in shape {shape}")
+    shape = _extents(shape)
     nbytes = math.prod(shape) * dtype.itemsize
     if mode is MemmapMode.WRITE:
         with open(path, "wb") as f:
@@ -92,57 +88,34 @@ def flush(v: ArrayView) -> None:
     v.buffer.flush()
 
 
-@dataclass(frozen=True)
-class ArrayInterfaceDescriptor:
-    """Foreign-memory exchange record.
-
-    Field names mirror the wire protocol exactly: "shape", "data" (address,
-    read-only flag), "typestr", optional "strides" (absent means
-    C-contiguous). The declared bytes must stay valid at the address for the
-    lifetime of every view created from the descriptor; the exporter's
-    lifetime is the caller's responsibility.
-    """
-
-    shape: tuple[int, ...]
-    data: tuple[int, bool]
-    typestr: str
-    strides: Optional[tuple[int, ...]] = None
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ArrayInterfaceDescriptor":
-        try:
-            shape = tuple(d["shape"])
-            data = tuple(d["data"])
-            typestr = d["typestr"]
-        except KeyError as exc:
-            raise StorageError(f"array-interface dict missing key {exc}") from None
-        strides = d.get("strides")
-        return cls(shape, (int(data[0]), bool(data[1])), typestr,
-                   None if strides is None else tuple(strides))
-
-
 def from_interface(source) -> ArrayView:
     """Zero-copy view over foreign memory described by an array interface.
 
-    Accepts an ArrayInterfaceDescriptor, a protocol dict, or any object with
-    an ``__array_interface__`` attribute; in the last case the exporting
-    object is retained so the memory cannot be collected under the view.
+    Accepts a protocol dict, or any object with an ``__array_interface__``
+    attribute, whose dict is read and whose object is retained so the memory
+    cannot be collected under the view. The dict's keys are the protocol's:
+    "shape", "data" (address, read-only flag), "typestr" and optional
+    "strides" (absent or None means C-contiguous). For a plain dict, the
+    declared bytes must stay valid at the address for the lifetime of every
+    view created from it; that lifetime is the caller's responsibility.
     """
     owner = None
-    if isinstance(source, ArrayInterfaceDescriptor):
+    if isinstance(source, Mapping):
         desc = source
-    elif isinstance(source, Mapping):
-        desc = ArrayInterfaceDescriptor.from_dict(source)
     elif hasattr(source, "__array_interface__"):
         owner = source
-        desc = ArrayInterfaceDescriptor.from_dict(source.__array_interface__)
+        desc = source.__array_interface__
     else:
         raise StorageError(f"{type(source).__name__} does not expose an array interface")
+    try:
+        shape, data, typestr = desc["shape"], desc["data"], desc["typestr"]
+    except KeyError as exc:
+        raise StorageError(f"array-interface dict missing key {exc}") from None
 
-    dtype = parse_typestr(desc.typestr)
-    address, read_only = desc.data
-    shape = tuple(int(e) for e in desc.shape)
-    strides = desc.strides or contiguous_strides(shape, dtype.itemsize)
+    dtype = parse_typestr(typestr)
+    address, read_only = int(data[0]), bool(data[1])
+    shape = _extents(shape)
+    strides = desc.get("strides") or contiguous_strides(shape, dtype.itemsize)
     lo, hi = _byte_span(shape, strides, dtype.itemsize)
     if address == 0 and hi > lo:
         raise StorageError("array interface has a null data location")

@@ -93,6 +93,12 @@ class TestArange:
         with pytest.raises(ValueRangeError, match="cannot store 0.0"):
             nv.arange(0.0, 3.0, 1.0, nv.int64)
 
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1.0, math.nan), (0.0, math.inf, 1.0), (math.nan, 1.0, 1.0)])
+    def test_non_finite_length_is_a_shape_error(self, start, stop, step):
+        with pytest.raises(ShapeError, match="no finite length"):
+            nv.arange(start, stop, step, nv.float64)
+
 
 class TestElementOffset:
     def test_interior(self):
@@ -108,6 +114,11 @@ class TestElementOffset:
     def test_wrong_rank(self):
         with pytest.raises(BoundsError):
             nv.element_offset(make_grid(), (1,))
+
+    def test_negative_indices_count_from_the_end(self):
+        assert nv.element_offset(make_grid(), (-1, -3)) == nv.element_offset(make_grid(), (2, 0))
+        with pytest.raises(BoundsError, match="index -4 out of bounds for axis 1 with extent 3"):
+            nv.element_offset(make_grid(), (0, -4))
 
 
 class TestGetSet:
@@ -126,6 +137,16 @@ class TestGetSet:
         nv.set_element(v, (1,), {"t": 2, "pos": {"x": 1.5, "y": -2.0}})
         assert nv.get_element(v, (0,)) == {"t": 1, "pos": {"x": 0.0, "y": 0.5}}
         assert nv.get_element(v, (1,)) == {"t": 2, "pos": {"x": 1.5, "y": -2.0}}
+
+    def test_negative_indices_count_from_the_end(self):
+        x = make_grid()
+        assert nv.get_element(x, (-1, -2)) == 7
+        nv.set_element(x, (-3, -1), 20)
+        assert x.tolist()[0] == [0, 1, 20]
+        with pytest.raises(BoundsError, match="index -4 out of bounds for axis 0 with extent 3"):
+            nv.get_element(x, (-4, 0))
+        with pytest.raises(BoundsError, match="index -4 out of bounds for axis 1 with extent 3"):
+            nv.set_element(x, (0, -4), 1)
 
     def test_readonly_buffer_rejects_write(self):
         x = make_grid()
@@ -252,10 +273,50 @@ class TestSliceView:
         with pytest.raises(BoundsError, match="index -4 out of bounds for axis 1 with extent 3"):
             m[0, -4] = 1
 
+    def test_mixed_key_errors_name_the_source_axis(self):
+        m = nv.reshape(nv.arange(0, 6, 1), (2, 3))
+        with pytest.raises(BoundsError, match="index 3 out of bounds for axis 0 with extent 2"):
+            m[None, 3]
+        with pytest.raises(BoundsError, match="index 4 out of bounds for axis 1 with extent 3"):
+            m[0, 4, None]
+        with pytest.raises(BoundsError, match="index -4 out of bounds for axis 1 with extent 3"):
+            m[None, :, -4]
+
+    def test_one_header_per_key(self, monkeypatch):
+        x = nv.reshape(nv.arange(0, 600, 1), (200, 3))
+        built = []
+        init = nv.ArrayView.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nv.ArrayView, "__init__", counted_init)
+        for key, shape in [((100, slice(None)), (3,)),
+                           ((slice(None), slice(None, None, 2)), (200, 2)),
+                           ((None, 1), (1, 3))]:
+            built.clear()
+            assert x[key].shape == shape
+            assert len(built) == 1, key
+
     def test_setitem_scalar_fill(self):
         x = make_grid()
         x[1, :] = 9
         assert x.tolist() == [[0, 1, 2], [9, 9, 9], [6, 7, 8]]
+
+
+class TestIndexAxis:
+    def test_negative_index_counts_from_the_end(self):
+        assert nv.index_axis(make_grid(), 1, -1).tolist() == [2, 5, 8]
+        assert nv.index_axis(make_grid(), 0, -3).tolist() == [0, 1, 2]
+
+    def test_out_of_bounds_names_the_index_as_written(self):
+        with pytest.raises(BoundsError, match="index -4 out of bounds for axis 1 with extent 3"):
+            nv.index_axis(make_grid(), 1, -4)
+        with pytest.raises(BoundsError, match="index 3 out of bounds for axis 0 with extent 3"):
+            nv.index_axis(make_grid(), 0, 3)
+        with pytest.raises(BoundsError, match="axis 2 out of range for rank 2"):
+            nv.index_axis(make_grid(), 2, 0)
 
 
 class TestTranspose:

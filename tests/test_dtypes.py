@@ -47,11 +47,6 @@ class TestParseTypestr:
         with pytest.raises(ByteOrderError):
             nv.parse_typestr(">f8")
 
-    def test_big_endian_parses_when_flagged(self):
-        dt = nv.parse_typestr(">f8", allow_big_endian=True)
-        assert dt.byteorder is ByteOrder.BIG
-        assert nv.format_typestr(dt) == ">f8"
-
     def test_big_endian_single_byte_normalizes(self):
         # one-byte types carry no byte order, whatever the prefix says
         assert nv.parse_typestr(">u1") == nv.uint8

@@ -1,9 +1,9 @@
 """Differential checks against NumPy where ndview's semantics match NumPy's.
 
-The view algebra (slice, transpose, newaxis, zero-copy reshape), broadcasting,
-the typestr codec, the array-interface import and tolist are compared with
-NumPy's own results on random inputs. The module is skipped when NumPy is not
-installed.
+The view algebra (slice, transpose, newaxis, zero-copy reshape, and keys of
+ints, slices and None), broadcasting, the typestr codec, the array-interface
+import and tolist are compared with NumPy's own results on random inputs. The
+module is skipped when NumPy is not installed.
 
 Intended divergences, which these tests do not compare:
 - integer division truncates toward zero, where NumPy's floor division floors;
@@ -52,18 +52,34 @@ def factorizations(n, rank):
             for rest in factorizations(n // d, rank - 1)]
 
 
+def random_slice(rng, ext):
+    """start:stop:step with bounds that may be negative or past either end."""
+    return slice(rng.choice([None, rng.randint(-ext - 1, ext + 1)]),
+                 rng.choice([None, rng.randint(-ext - 1, ext + 1)]),
+                 rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def random_key(rng, shape):
+    """Ints (negative or out of range at either end), slices and None over
+    leading axes of `shape`."""
+    key = [rng.randint(-ext - 1, ext) if rng.random() < 0.4 else random_slice(rng, ext)
+           for ext in shape[:rng.randint(0, len(shape))]]
+    for _ in range(rng.randint(0, 2)):
+        key.insert(rng.randint(0, len(key)), None)
+    return tuple(key)
+
+
 def random_chain(rng, v, a):
-    """The same random slice / transpose / newaxis / reshape chain on an ArrayView
-    and an ndarray over the same elements."""
+    """The same random slice / transpose / newaxis / reshape / key chain on an
+    ArrayView and an ndarray of the same shape.
+
+    A key is applied only when NumPy gives a view; where NumPy raises
+    IndexError, ndview must raise BoundsError.
+    """
     for _ in range(rng.randint(0, 5)):
-        op = rng.choice(["slice", "transpose", "newaxis", "reshape"])
+        op = rng.choice(["slice", "transpose", "newaxis", "reshape", "getitem"])
         if op == "slice" and v.ndim:
-            spec = []
-            for ext in v.shape:
-                start = rng.choice([None, rng.randint(-ext - 1, ext + 1)])
-                stop = rng.choice([None, rng.randint(-ext - 1, ext + 1)])
-                spec.append(slice(start, stop, rng.choice([-3, -2, -1, 1, 2, 3])))
-            spec = spec[:rng.randint(1, len(spec))]
+            spec = [random_slice(rng, ext) for ext in v.shape][:rng.randint(1, v.ndim)]
             v, a = nv.slice_view(v, spec), a[tuple(spec)]
         elif op == "transpose":
             v, a = nv.transpose(v), a.T
@@ -75,6 +91,16 @@ def random_chain(rng, v, a):
             # views without copying, which ndview does not attempt
             shape = rng.choice(factorizations(v.size, rng.randint(1, 3)))
             v, a = nv.reshape(v, shape), a.reshape(shape)
+        elif op == "getitem":
+            key = random_key(rng, v.shape)
+            try:
+                want = a[key]
+            except IndexError:
+                with pytest.raises(nv.BoundsError):
+                    v[key]
+                continue
+            if isinstance(want, np.ndarray):  # not a scalar: an int on every axis reads one
+                v, a = v[key], want
     return v, a
 
 
@@ -92,6 +118,26 @@ def test_view_chains_match_numpy_headers():
         assert v.flags.c_contiguous == a.flags.c_contiguous, (v, a.flags)
         assert v.flags.f_contiguous == a.flags.f_contiguous, (v, a.flags)
         assert nv.gather(v) == a.ravel().tolist()
+
+
+def test_scalar_keys_match_numpy():
+    rng = random.Random(13)
+    base = nv.arange(0, 24, 1)
+    npbase = np.arange(24, dtype="<i8")
+    read = 0
+    for _ in range(CHAINS):
+        shape = rng.choice(BASE_SHAPES)
+        v, a = random_chain(rng, nv.reshape(base, shape), npbase.reshape(shape))
+        key = tuple(rng.randint(-ext - 1, ext) for ext in v.shape)
+        try:
+            want = a[key]
+        except IndexError:
+            with pytest.raises(nv.BoundsError):
+                v[key]
+        else:
+            assert v[key] == want.item(), (v, key)
+            read += 1
+    assert read
 
 
 def test_broadcast_view_strides_match_broadcast_to():

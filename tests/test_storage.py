@@ -1,6 +1,8 @@
 import ctypes
+import gc
 import os
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,6 @@ from ndview.errors import (
     RecordSizeError,
     StorageError,
 )
-from ndview.storage import ArrayInterfaceDescriptor
 
 
 class TestMemmap:
@@ -59,6 +60,25 @@ class TestMemmap:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             nv.memmap_open(tmp_path / "missing.raw", "r", (4,), nv.int64)
+
+    def test_mapping_is_released_with_its_last_view(self, tmp_path):
+        # reference counting alone releases the mapping: no collector pass runs here
+        p = tmp_path / "a.raw"
+        gc.disable()
+        try:
+            v = nv.memmap_open(p, "write", (4,), nv.int64)
+            mapping = weakref.ref(v.buffer.raw)
+            del v
+            assert mapping() is None
+            v = nv.memmap_open(p, "r+", (4,), nv.int64)
+            mapping = weakref.ref(v.buffer.raw)
+            row = v[1:3]
+            del v
+            assert mapping() is not None  # the slice still reads the mapping
+            del row
+            assert mapping() is None
+        finally:
+            gc.enable()
 
     def test_short_file(self, tmp_path):
         p = tmp_path / "short.raw"
@@ -116,8 +136,7 @@ class TestArrayInterface:
 
     def test_read_only_descriptor(self):
         buf = ctypes.create_string_buffer(b"xyz")
-        desc = ArrayInterfaceDescriptor(
-            shape=(3,), data=(ctypes.addressof(buf), True), typestr="|u1")
+        desc = {"shape": (3,), "data": (ctypes.addressof(buf), True), "typestr": "|u1"}
         v = nv.from_interface(desc)
         assert not v.flags.writeable
         with pytest.raises(NotWriteableError):
@@ -134,9 +153,8 @@ class TestArrayInterface:
 
     def test_explicit_strides(self):
         buf = (ctypes.c_ubyte * 6)(*range(6))
-        desc = ArrayInterfaceDescriptor(
-            shape=(3,), data=(ctypes.addressof(buf), False), typestr="|u1",
-            strides=(2,))
+        desc = {"shape": (3,), "data": (ctypes.addressof(buf), False), "typestr": "|u1",
+                "strides": (2,)}
         assert nv.from_interface(desc).tolist() == [0, 2, 4]
 
     def test_allocates_nothing(self):
@@ -146,14 +164,13 @@ class TestArrayInterface:
         assert tally.buffers_allocated == 0
 
     def test_null_location(self):
-        desc = ArrayInterfaceDescriptor(shape=(3,), data=(0, False), typestr="|u1")
+        desc = {"shape": (3,), "data": (0, False), "typestr": "|u1"}
         with pytest.raises(StorageError):
             nv.from_interface(desc)
 
     def test_big_endian_typestr_rejected(self):
         buf = ctypes.create_string_buffer(b"\0" * 16)
-        desc = ArrayInterfaceDescriptor(
-            shape=(2,), data=(ctypes.addressof(buf), False), typestr=">f8")
+        desc = {"shape": (2,), "data": (ctypes.addressof(buf), False), "typestr": ">f8"}
         with pytest.raises(ByteOrderError):
             nv.from_interface(desc)
 
