@@ -19,7 +19,6 @@ from .broadcast import (
 )
 from .core import (
     ArrayView,
-    Backing,
     Buffer,
     Flags,
     arange,
@@ -42,7 +41,6 @@ from .core import (
 )
 from .counters import CounterReport, Tally, counting
 from .dtypes import (
-    ByteOrder,
     DType,
     Field,
     Kind,
@@ -92,7 +90,6 @@ from .kernels import (
     scalar_binary,
 )
 from .storage import (
-    MemmapMode,
     flush,
     from_interface,
     fromfile,

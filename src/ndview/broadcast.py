@@ -86,7 +86,7 @@ def broadcast_view(v: ArrayView, target: Sequence[int]) -> ArrayView:
     target = tuple(int(e) for e in target)
     strides = aligned_strides(v.shape, v.strides, target)
     return ArrayView(v.buffer, v.base_offset, target, strides, v.dtype,
-                     writeable=False, is_view=True)
+                     writeable=False)
 
 
 def newaxis_view(v: ArrayView, axis: int) -> ArrayView:

@@ -53,7 +53,7 @@ from .kernels import (
     mask_select,
     scalar_binary,
 )
-from .storage import MemmapMode, flush, from_interface, fromfile, memmap_open, tofile
+from .storage import flush, from_interface, fromfile, memmap_open, tofile
 
 GRID_REFUSAL_BYTES = 2 << 30  # refuse grid runs estimated over 2 GiB
 
@@ -179,17 +179,17 @@ def cmd_camera(args) -> int:
 
 def cmd_memmap_demo(args) -> int:
     path = args.path or _default_path("ndview-demo.memmap")
-    a = memmap_open(path, MemmapMode.WRITE, (300, 300), int64)
+    a = memmap_open(path, "write", (300, 300), int64)
     print(f"created {path} shape={a.shape} dtype={a.dtype} ({a.buffer.nbytes} bytes)")
     fill_flat(a, range(300 * 300))
     flush(a)
     print(f"row 0 starts {gather(a[0, :4])} ends {gather(a[0, -2:])}")
     print(f"row 1 starts {gather(a[1, :2])}")
-    b = memmap_open(path, MemmapMode.READ_WRITE, (300, 300), int64)
+    b = memmap_open(path, "r+", (300, 300), int64)
     elementwise_binary_inplace("mul", b[100, :], 2)
     flush(b)
     print("reopened r+, doubled row 100, flushed")
-    c = memmap_open(path, MemmapMode.READ_ONLY, (300, 300), int64)
+    c = memmap_open(path, "r", (300, 300), int64)
     print(f"row 100 starts {gather(c[100, :3])}")
     print(f"row 99 starts {gather(c[99, :3])}")
     ok = gather(c[100, :3]) == [60000, 60002, 60004] and gather(c[99, :3]) == [29700, 29701, 29702]

@@ -14,10 +14,8 @@ concurrent mutation of a buffer requires external exclusivity.
 from __future__ import annotations
 
 import math
-import mmap
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from struct import error as _struct_error
 from typing import Iterator, Sequence
 
@@ -36,11 +34,9 @@ from .errors import (
     NotWriteableError,
     ReinterpretError,
     ShapeError,
-    StorageError,
 )
 
 __all__ = [
-    "Backing",
     "Buffer",
     "Flags",
     "ArrayView",
@@ -66,29 +62,24 @@ __all__ = [
 Extents = tuple[int, ...]
 
 
-class Backing(Enum):
-    HEAP = "heap"
-    FILE_MAPPED = "file-mapped"
-    FOREIGN = "foreign"
-
-
 class Buffer:
     """A fixed-length contiguous byte store.
 
     `raw` is any object supporting the buffer protocol (bytearray, mmap,
     ctypes array); a cached memoryview of it in format "B", the same for
-    every backing, serves byte-range reads and writes.
+    every kind of memory, serves byte-range reads and writes. `mapped` marks
+    a file mapping, the only kind of buffer that can be flushed.
     Heap allocations report to the active counting scopes; mapped and foreign
     buffers wrap existing memory and are never counted as allocations.
     """
 
-    __slots__ = ("raw", "backing", "read_only", "owner", "_view")
+    __slots__ = ("raw", "mapped", "read_only", "owner", "_view")
 
-    def __init__(self, raw, backing: Backing, read_only: bool = False, owner=None):
+    def __init__(self, raw, mapped: bool = False, read_only: bool = False, owner=None):
         self.raw = raw
-        self.backing = backing
+        self.mapped = mapped
         self.read_only = read_only
-        self.owner = owner  # keepalive for foreign exporters / mapped files
+        self.owner = owner  # keepalive for a foreign exporter
         view = memoryview(raw if raw is not None else b"")
         self._view = view if view.format == "B" else view.cast("B")  # ctypes exports "<B"
 
@@ -102,26 +93,17 @@ class Buffer:
         except (MemoryError, OverflowError) as exc:
             raise AllocationError(f"allocation of {nbytes} bytes failed: {exc}") from None
         record_allocation(nbytes)
-        return cls(raw, Backing.HEAP)
+        return cls(raw)
 
     @property
     def nbytes(self) -> int:
         return self._view.nbytes
-
-    def flush(self) -> None:
-        """Make pending modifications durable; only valid for mapped files."""
-        if self.backing is not Backing.FILE_MAPPED:
-            raise StorageError(f"flush on {self.backing.value} buffer")
-        if isinstance(self.raw, mmap.mmap):  # zero-byte mappings hold a bytearray
-            self.raw.flush()
 
 
 @dataclass(frozen=True)
 class Flags:
     writeable: bool
     c_contiguous: bool
-    f_contiguous: bool
-    is_view: bool
 
 
 def contiguous_strides(shape: Sequence[int], itemsize: int) -> Extents:
@@ -142,22 +124,16 @@ def _extents(shape: Sequence[int]) -> Extents:
     return shape
 
 
-def _contiguity(shape: Extents, strides: Extents, itemsize: int) -> tuple[bool, bool]:
-    # Extent-1 axes place no constraint on strides; empty arrays count as both.
+def _c_contiguous(shape: Extents, strides: Extents, itemsize: int) -> bool:
+    # Extent-1 axes place no constraint on strides; empty arrays are contiguous.
     if 0 in shape:
-        return True, True
-    c = f = True
+        return True
     acc = itemsize
     for ext, st in zip(reversed(shape), reversed(strides)):
         if ext != 1 and st != acc:
-            c = False
+            return False
         acc *= ext
-    acc = itemsize
-    for ext, st in zip(shape, strides):
-        if ext != 1 and st != acc:
-            f = False
-        acc *= ext
-    return c, f
+    return True
 
 
 def _byte_span(shape: Extents, strides: Extents, itemsize: int) -> tuple[int, int]:
@@ -198,8 +174,7 @@ class ArrayView:
     __slots__ = ("buffer", "base_offset", "shape", "strides", "dtype", "flags")
 
     def __init__(self, buffer: Buffer, base_offset: int, shape: Sequence[int],
-                 strides: Sequence[int], dtype: DType, *,
-                 writeable: bool = True, is_view: bool = False):
+                 strides: Sequence[int], dtype: DType, *, writeable: bool = True):
         shape = _extents(shape)
         strides = tuple(int(s) for s in strides)
         if len(shape) != len(strides):
@@ -213,9 +188,8 @@ class ArrayView:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "strides", strides)
         object.__setattr__(self, "dtype", dtype)
-        c, f = _contiguity(shape, strides, dtype.itemsize)
         flags = Flags(writeable=bool(writeable) and not buffer.read_only,
-                      c_contiguous=c, f_contiguous=f, is_view=is_view)
+                      c_contiguous=_c_contiguous(shape, strides, dtype.itemsize))
         object.__setattr__(self, "flags", flags)
 
     def __setattr__(self, name, value):
@@ -384,12 +358,20 @@ def arange(start, stop=None, step=1, dtype: DType = int64) -> ArrayView:
     if all(isinstance(v, int) for v in (start, stop, step)):
         count = max(0, -((start - stop) // step) if step > 0 else -((stop - start) // -step))
     else:
-        length = (stop - start) / step
+        try:
+            length = (stop - start) / step
+        except OverflowError:  # an int bound too large for a float
+            length = math.inf
         if not math.isfinite(length):
             raise ShapeError(f"arange({start}, {stop}, {step}) has no finite length")
+        if length == 0.0 and stop != start:  # the step outruns the range, as an infinite one does
+            length = float((stop > start) == (step > 0))
         count = max(0, math.ceil(length))
     out = create((count,), dtype)
-    scatter(out, [start + i * step for i in range(count)])
+    values = [start + i * step for i in range(count)]
+    if values:
+        values[0] = start  # 0 * an infinite step is NaN
+    scatter(out, values)
     return out
 
 
@@ -483,8 +465,7 @@ def _select(v: ArrayView, items: Sequence) -> ArrayView:
             raise TypeError(f"unsupported index {it!r}")
         k += 1
     return ArrayView(v.buffer, offset, shape + list(v.shape[k:]),
-                     strides + list(v.strides[k:]), v.dtype,
-                     writeable=v.flags.writeable, is_view=True)
+                     strides + list(v.strides[k:]), v.dtype, writeable=v.flags.writeable)
 
 
 def slice_view(v: ArrayView, spec: Sequence[slice]) -> ArrayView:
@@ -513,15 +494,14 @@ def index_axis(v: ArrayView, axis: int, i: int) -> ArrayView:
 def transpose(v: ArrayView) -> ArrayView:
     """Reverse shape and strides; same buffer."""
     return ArrayView(v.buffer, v.base_offset, v.shape[::-1], v.strides[::-1],
-                     v.dtype, writeable=v.flags.writeable, is_view=True)
+                     v.dtype, writeable=v.flags.writeable)
 
 
 def reshape(v: ArrayView, new_shape: Sequence[int]) -> ArrayView:
     """Same elements in C-order under a new shape.
 
     Zero-copy when the view is C-contiguous; otherwise the elements are
-    copied into a fresh contiguous buffer (the result's is_view flag records
-    which path ran).
+    copied into a fresh contiguous buffer (the result then has a new buffer).
     """
     new_shape = _extents(new_shape)
     if math.prod(new_shape) != v.size:
@@ -531,7 +511,7 @@ def reshape(v: ArrayView, new_shape: Sequence[int]) -> ArrayView:
     if v.flags.c_contiguous:
         return ArrayView(v.buffer, v.base_offset, new_shape,
                          contiguous_strides(new_shape, v.itemsize), v.dtype,
-                         writeable=v.flags.writeable, is_view=True)
+                         writeable=v.flags.writeable)
     out = create(new_shape, v.dtype)
     copy_elements(v, out)
     return out
@@ -557,7 +537,7 @@ def reinterpret_dtype(v: ArrayView, new_dtype: DType) -> ArrayView:
     shape = v.shape[:-1] + (span // new,)
     strides = v.strides[:-1] + (new,)
     return ArrayView(v.buffer, v.base_offset, shape, strides, new_dtype,
-                     writeable=v.flags.writeable, is_view=True)
+                     writeable=v.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,6 @@ class Tally:
     __slots__ = ("scalar_ops", "buffers_allocated", "bytes_allocated")
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.scalar_ops = 0
         self.buffers_allocated = 0
         self.bytes_allocated = 0

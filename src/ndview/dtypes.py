@@ -32,7 +32,6 @@ __all__ = [
     "DType",
     "Field",
     "Kind",
-    "ByteOrder",
     "parse_typestr",
     "format_typestr",
     "make_struct_dtype",
@@ -57,11 +56,6 @@ class Kind(Enum):
     FLOAT = "f"
     BOOL = "b"
     STRUCTURED = "V"
-
-
-class ByteOrder(Enum):
-    LITTLE = "<"
-    NOT_APPLICABLE = "|"
 
 
 # Format character of each supported scalar (kind, itemsize); struct use is
@@ -92,11 +86,10 @@ class Field:
 
 @dataclass(frozen=True)
 class DType:
-    """Describes the kind, width, byte order and (if structured) fields of an element."""
+    """Describes the kind, width and (if structured) fields of an element."""
 
     kind: Kind
     itemsize: int
-    byteorder: ByteOrder = ByteOrder.NOT_APPLICABLE
     fields: tuple[Field, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -123,12 +116,6 @@ class DType:
                 raise TypestrError(
                     f"unsupported size {self.itemsize} for kind {self.kind.value!r}"
                 )
-            na = self.itemsize == 1 or self.kind is Kind.BOOL
-            if na != (self.byteorder is ByteOrder.NOT_APPLICABLE):
-                raise TypestrError(
-                    f"byte order {self.byteorder.value!r} inconsistent with "
-                    f"{self.kind.value}{self.itemsize}"
-                )
 
     @property
     def is_structured(self) -> bool:
@@ -152,15 +139,15 @@ class DType:
 
 
 int8 = DType(Kind.SIGNED, 1)
-int16 = DType(Kind.SIGNED, 2, ByteOrder.LITTLE)
-int32 = DType(Kind.SIGNED, 4, ByteOrder.LITTLE)
-int64 = DType(Kind.SIGNED, 8, ByteOrder.LITTLE)
+int16 = DType(Kind.SIGNED, 2)
+int32 = DType(Kind.SIGNED, 4)
+int64 = DType(Kind.SIGNED, 8)
 uint8 = DType(Kind.UNSIGNED, 1)
-uint16 = DType(Kind.UNSIGNED, 2, ByteOrder.LITTLE)
-uint32 = DType(Kind.UNSIGNED, 4, ByteOrder.LITTLE)
-uint64 = DType(Kind.UNSIGNED, 8, ByteOrder.LITTLE)
-float32 = DType(Kind.FLOAT, 4, ByteOrder.LITTLE)
-float64 = DType(Kind.FLOAT, 8, ByteOrder.LITTLE)
+uint16 = DType(Kind.UNSIGNED, 2)
+uint32 = DType(Kind.UNSIGNED, 4)
+uint64 = DType(Kind.UNSIGNED, 8)
+float32 = DType(Kind.FLOAT, 4)
+float64 = DType(Kind.FLOAT, 8)
 bool_ = DType(Kind.BOOL, 1)
 
 _KIND_BY_CHAR = {"i": Kind.SIGNED, "u": Kind.UNSIGNED, "f": Kind.FLOAT, "b": Kind.BOOL}
@@ -187,23 +174,23 @@ def parse_typestr(s: str) -> DType:
     itemsize = int(size_str)
     if (kind, itemsize) not in _STRUCT_CODE:
         raise TypestrError(f"unsupported dtype {s!r}")
-    if itemsize == 1 or kind is Kind.BOOL:
+    if itemsize == 1:
         # Byte order is irrelevant for single bytes; '<u1' normalizes to '|u1'.
-        return DType(kind, itemsize, ByteOrder.NOT_APPLICABLE)
+        return DType(kind, itemsize)
     if order_char == "|":
         raise TypestrError(f"byte order '|' invalid for multi-byte type {s!r}")
     if order_char == ">":
         raise ByteOrderError(
             f"big-endian data unsupported: {s!r} (native representation is little-endian)"
         )
-    return DType(kind, itemsize, ByteOrder.LITTLE)
+    return DType(kind, itemsize)
 
 
 def format_typestr(dt: DType) -> str:
-    """Inverse of parse_typestr for scalar dtypes."""
+    """Inverse of parse_typestr for scalar dtypes; the byte order follows from the itemsize."""
     if dt.is_structured:
         raise TypestrError("structured dtypes have no typestr form")
-    return f"{dt.byteorder.value}{dt.kind.value}{dt.itemsize}"
+    return f"{'|' if dt.itemsize == 1 else '<'}{dt.kind.value}{dt.itemsize}"
 
 
 FieldSpec = Sequence[tuple[str, Union["DType", Sequence]]]
@@ -229,7 +216,7 @@ def make_struct_dtype(spec: FieldSpec) -> DType:
         dt = sub if isinstance(sub, DType) else make_struct_dtype(sub)
         fields.append(Field(name, dt, offset))
         offset += dt.itemsize
-    return DType(Kind.STRUCTURED, offset, ByteOrder.NOT_APPLICABLE, tuple(fields))
+    return DType(Kind.STRUCTURED, offset, tuple(fields))
 
 
 def field_lookup(dt: DType, name: str) -> tuple[int, DType]:

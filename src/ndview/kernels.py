@@ -27,7 +27,7 @@ from .core import (
     scatter,
 )
 from .counters import record_scalar_ops
-from .dtypes import ByteOrder, DType, Kind, bool_, field_lookup, float64
+from .dtypes import DType, Kind, bool_, field_lookup, float64
 from .errors import (
     BroadcastError,
     IntegerDivisionError,
@@ -80,7 +80,7 @@ def promote_dtypes(a: DType, b: DType) -> DType:
     if unsigned.itemsize not in _SIGNED_FOR_UNSIGNED:
         return float64  # no wider signed type exists for uint64
     width = _SIGNED_FOR_UNSIGNED[unsigned.itemsize]
-    as_signed = DType(Kind.SIGNED, width, ByteOrder.LITTLE)
+    as_signed = DType(Kind.SIGNED, width)
     return signed if signed.itemsize >= width else as_signed
 
 
@@ -353,4 +353,4 @@ def field_view(a: ArrayView, name: str) -> ArrayView:
     """
     offset, fdt = field_lookup(a.dtype, name)
     return ArrayView(a.buffer, a.base_offset + offset, a.shape, a.strides, fdt,
-                     writeable=a.flags.writeable, is_view=True)
+                     writeable=a.flags.writeable)

@@ -17,16 +17,14 @@ import ctypes
 import math
 import mmap
 import os
-from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-from .core import ArrayView, Backing, Buffer, _byte_span, _extents, _read_packed, contiguous_strides
+from .core import ArrayView, Buffer, _byte_span, _extents, _read_packed, contiguous_strides
 from .counters import record_allocation
 from .dtypes import DType, parse_typestr
 from .errors import MappingSizeError, RecordSizeError, StorageError
 
 __all__ = [
-    "MemmapMode",
     "memmap_open",
     "flush",
     "from_interface",
@@ -35,37 +33,19 @@ __all__ = [
 ]
 
 
-class MemmapMode(Enum):
-    """File-mapping modes, spelled like the mode strings they accept."""
-
-    WRITE = "write"        # create or truncate, then read-write
-    READ_WRITE = "r+"      # open existing, read-write
-    READ_ONLY = "r"        # open existing, read-only
-
-    @classmethod
-    def coerce(cls, mode: Union["MemmapMode", str]) -> "MemmapMode":
-        if isinstance(mode, cls):
-            return mode
-        try:
-            return cls(mode)
-        except ValueError:
-            raise StorageError(
-                f"unknown memmap mode {mode!r}; expected 'write', 'r+' or 'r'"
-            ) from None
-
-
-def memmap_open(path, mode: Union[MemmapMode, str], shape: Sequence[int],
-                dtype: DType) -> ArrayView:
+def memmap_open(path, mode: str, shape: Sequence[int], dtype: DType) -> ArrayView:
     """C-contiguous array over a file mapping.
 
-    Write mode creates (or truncates) the file at exactly the array's byte
-    size, zero-filled. The read modes require an existing file at least that
-    large and map its leading bytes.
+    Mode "write" creates (or truncates) the file at exactly the array's byte
+    size, zero-filled, and maps it read-write. Modes "r+" (read-write) and
+    "r" (read-only) require an existing file at least that large and map its
+    leading bytes.
     """
-    mode = MemmapMode.coerce(mode)
+    if mode not in ("write", "r+", "r"):
+        raise StorageError(f"unknown memmap mode {mode!r}; expected 'write', 'r+' or 'r'")
     shape = _extents(shape)
     nbytes = math.prod(shape) * dtype.itemsize
-    if mode is MemmapMode.WRITE:
+    if mode == "write":
         with open(path, "wb") as f:
             f.truncate(nbytes)
     elif not os.path.exists(path):
@@ -73,19 +53,22 @@ def memmap_open(path, mode: Union[MemmapMode, str], shape: Sequence[int],
     elif os.path.getsize(path) < nbytes:
         raise MappingSizeError(
             f"file {path} holds {os.path.getsize(path)} bytes, mapping needs {nbytes}")
-    read_only = mode is MemmapMode.READ_ONLY
+    read_only = mode == "r"
     raw = bytearray(0)  # mmap cannot map zero bytes
     if nbytes:
         with open(path, "rb" if read_only else "r+b") as f:
             access = mmap.ACCESS_READ if read_only else mmap.ACCESS_WRITE
             raw = mmap.mmap(f.fileno(), nbytes, access=access)
-    buf = Buffer(raw, Backing.FILE_MAPPED, read_only=read_only)
+    buf = Buffer(raw, mapped=True, read_only=read_only)
     return ArrayView(buf, 0, shape, contiguous_strides(shape, dtype.itemsize), dtype)
 
 
 def flush(v: ArrayView) -> None:
     """Write pending modifications of a mapped array through to its file."""
-    v.buffer.flush()
+    if not v.buffer.mapped:
+        raise StorageError("flush on a buffer that is not a file mapping")
+    if isinstance(v.buffer.raw, mmap.mmap):  # zero-byte mappings hold a bytearray
+        v.buffer.raw.flush()
 
 
 def from_interface(source) -> ArrayView:
@@ -124,8 +107,8 @@ def from_interface(source) -> ArrayView:
         raw = (ctypes.c_ubyte * (hi - lo)).from_address(address + lo)
     else:
         raw = (ctypes.c_ubyte * 0)()
-    buf = Buffer(raw, Backing.FOREIGN, read_only=read_only, owner=owner)
-    return ArrayView(buf, -lo, shape, strides, dtype, writeable=not read_only)
+    buf = Buffer(raw, read_only=read_only, owner=owner)
+    return ArrayView(buf, -lo, shape, strides, dtype)
 
 
 def fromfile(path, dtype: DType) -> ArrayView:
@@ -139,7 +122,7 @@ def fromfile(path, dtype: DType) -> ArrayView:
             f"a whole {dtype.itemsize}-byte record boundary")
     raw = bytearray(data)
     record_allocation(len(raw))
-    buf = Buffer(raw, Backing.HEAP)
+    buf = Buffer(raw)
     return ArrayView(buf, 0, (count,), (dtype.itemsize,), dtype)
 
 

@@ -84,7 +84,7 @@ def random_chain(rng, v, writeable_only=False):
             strides = list(v.strides)
             strides[rng.randrange(v.ndim)] = 0
             v = nv.ArrayView(v.buffer, v.base_offset, v.shape, strides, v.dtype,
-                             writeable=v.flags.writeable, is_view=True)
+                             writeable=v.flags.writeable)
         elif op == "broadcast" and not writeable_only:
             shape = tuple(rng.randint(1, 3) if e == 1 else e for e in v.shape)
             v = nv.broadcast_view(v, (rng.randint(1, 3),) + shape)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ndview as nv
-from ndview.dtypes import ByteOrder, DType, Kind, _compiled_struct, element_struct
+from ndview.dtypes import DType, Kind, _compiled_struct, element_struct
 from ndview.errors import (
     ByteOrderError,
     FieldNotFoundError,
@@ -24,12 +24,12 @@ class TestParseTypestr:
         dt = nv.parse_typestr("|u1")
         assert dt.kind is Kind.UNSIGNED
         assert dt.itemsize == 1
-        assert dt.byteorder is ByteOrder.NOT_APPLICABLE
+        assert nv.format_typestr(dt) == "|u1"
 
     def test_i8(self):
         dt = nv.parse_typestr("<i8")
         assert dt == nv.int64
-        assert dt.byteorder is ByteOrder.LITTLE
+        assert nv.format_typestr(dt) == "<i8"
 
     def test_bad_order_char(self):
         with pytest.raises(TypestrError, match="'x'"):
@@ -156,15 +156,14 @@ def test_field_offsets_strictly_increasing(spec):
     assert len(set(offsets)) == len(offsets)
 
 
+@pytest.mark.parametrize("dt", SCALARS, ids=str)
+def test_kind_and_itemsize_build_every_scalar(dt):
+    assert DType(dt.kind, dt.itemsize) == dt
+
+
 @given(st.sampled_from(CANONICAL_TYPESTRS))
 def test_round_trip_property(s):
     assert nv.format_typestr(nv.parse_typestr(s)) == s
-
-
-@given(st.sampled_from(SCALARS))
-def test_byteorder_invariant(dt):
-    na = dt.itemsize == 1 or dt.kind is Kind.BOOL
-    assert (dt.byteorder is ByteOrder.NOT_APPLICABLE) == na
 
 
 def test_struct_cache_is_bounded():

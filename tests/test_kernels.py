@@ -388,15 +388,6 @@ class TestOpCounting:
             assert inner.scalar_ops == 2
         assert outer.scalar_ops == 3
 
-    def test_scoped_reset(self):
-        with counting() as tally:
-            nv.elementwise_unary("neg", arr([1, 2, 3]))
-            assert tally.scalar_ops == 3
-            tally.reset()
-            assert (tally.scalar_ops, tally.buffers_allocated) == (0, 0)
-            nv.elementwise_unary("neg", arr([1]))
-            assert tally.scalar_ops == 1
-
 
 # --- properties -------------------------------------------------------------
 

@@ -116,7 +116,6 @@ def test_view_chains_match_numpy_headers():
             assert v.strides == a.strides, (v, a.strides)
             assert v.base_offset == offset(a, npbase), (v, offset(a, npbase))
         assert v.flags.c_contiguous == a.flags.c_contiguous, (v, a.flags)
-        assert v.flags.f_contiguous == a.flags.f_contiguous, (v, a.flags)
         assert nv.gather(v) == a.ravel().tolist()
 
 
@@ -162,6 +161,13 @@ def test_broadcast_view_strides_match_broadcast_to():
         assert nv.gather(b) == want.ravel().tolist()
         checked += 1
     assert checked == CHAINS
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (0.0, 1.0, np.inf), (1.0, 0.0, -np.inf), (0.0, -1.0, np.inf), (-0.0, 2.0, 1.0)])
+def test_float_arange_matches_numpy(start, stop, step):
+    assert exact(nv.arange(start, stop, step, nv.float64).tolist()) == \
+        exact(np.arange(start, stop, step).tolist())
 
 
 @pytest.mark.parametrize("typestr", TYPESTRS + ["<b1", "<i1", ">u1", "<u1"])

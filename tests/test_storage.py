@@ -96,6 +96,16 @@ class TestMemmap:
         with pytest.raises(StorageError):
             nv.flush(nv.create((3,), nv.int64))
 
+    def test_flush_on_foreign_array(self):
+        with pytest.raises(StorageError):
+            nv.flush(nv.from_interface(MutableText("abc")))
+
+    def test_flush_on_zero_byte_mapping_is_a_no_op(self, tmp_path):
+        p = tmp_path / "empty.raw"
+        a = nv.memmap_open(p, "write", (0, 3), nv.int64)
+        nv.flush(a)
+        assert a.buffer.nbytes == 0 and os.path.getsize(p) == 0
+
     def test_bad_mode(self, tmp_path):
         with pytest.raises(StorageError):
             nv.memmap_open(tmp_path / "a.raw", "a+", (4,), nv.int64)
