@@ -80,7 +80,7 @@ class Buffer:
         self.mapped = mapped
         self.read_only = read_only
         self.owner = owner  # keepalive for a foreign exporter
-        view = memoryview(raw if raw is not None else b"")
+        view = memoryview(raw)
         self._view = view if view.format == "B" else view.cast("B")  # ctypes exports "<B"
 
     @classmethod
@@ -689,7 +689,7 @@ def fill_flat(v: ArrayView, values) -> None:
         if values.ndim != 1:
             raise ShapeError("fill_flat source must be 1-D")
         values = gather(values)
-    else:
+    elif not isinstance(values, list):  # scatter only reads its values, so a list is not copied
         values = list(values)
     scatter(v, values)
 

@@ -143,8 +143,9 @@ def distance_grid(n: int, method: GridMethod | str = GridMethod.BROADCAST
         s = elementwise_binary("add", s, c)
         r = elementwise_unary("sqrt", s)
     checksum = 0.0
-    for v in gather(r):
-        checksum += v
+    for row in range(n):  # one leading row at a time, in C-order, so no whole-grid list is built
+        for v in gather(r[row]):
+            checksum += v
     report = GridReport(method=method.value, n=n, scalar_ops=tally.scalar_ops,
                         buffers_allocated=tally.buffers_allocated,
                         bytes_allocated=tally.bytes_allocated, checksum=checksum)

@@ -21,7 +21,10 @@ from typing import Union
 from .broadcast import broadcast_shapes, broadcast_view
 from .core import (
     ArrayView,
+    _pack,
     _read_packed,
+    _select,
+    _write_packed,
     create,
     gather,
     scatter,
@@ -145,30 +148,46 @@ def _apply(fn, *operands) -> list:
         return list(map(_div_float, *operands))
 
 
-def _operand(x, shape, to_float: bool):
+def _operand(x, to_float: bool):
     if not isinstance(x, ArrayView):
         return repeat(float(x) if to_float else x)
-    vals = gather(x if x.shape == shape else broadcast_view(x, shape))
+    vals = gather(x)
     if to_float and x.dtype.kind is not Kind.FLOAT:
         return [float(v) for v in vals]
     return vals
+
+
+_BLOCK = 1 << 14  # elements per block: bounds the Python values a kernel holds at once
 
 
 def _map(apply, operands, shape, out: Union[ArrayView, DType],
          to_float: bool = False) -> ArrayView:
     """The one loop behind the element-wise kernels, like a NumPy ufunc.
 
-    Each array operand is read once, broadcast to `shape`; with `to_float`,
-    int operands convert with float(). Scalars repeat. `out` is the in-place
-    target, or the dtype of a fresh array. apply(*operands) gives the C-order
-    result that is stored into it.
+    Array operands are broadcast to `shape`; the output is then walked in
+    blocks of leading-axis rows of about _BLOCK elements. Per block, each
+    operand is read (int operands convert with float() under `to_float`;
+    scalars repeat), apply(*operands) gives the C-order result, and it is
+    encoded at the block's place. `out` is the in-place target, staged and
+    stored once so every read and encode precedes the first write, or the
+    dtype of a fresh array, which takes each block straight into its buffer.
     """
-    ins = [_operand(x, shape, to_float) for x in operands]
-    if isinstance(out, DType):
+    views = [broadcast_view(x, shape) if isinstance(x, ArrayView) and x.shape != shape else x
+             for x in operands]
+    fresh = isinstance(out, DType)
+    if fresh:
         out = create(shape, out)
-    vals = apply(*ins)
-    del ins  # free the operand values before the result is encoded
-    scatter(out, vals)
+    isz = out.itemsize
+    dest = out.buffer.raw if fresh else bytearray(out.size * isz)
+    row = math.prod(shape[1:])
+    step = max(1, _BLOCK // max(row, 1))
+    for i in range(0, shape[0] if shape else 1, step):
+        key = (slice(i, i + step),) if shape else ()  # rank 0 is one block
+        block = [_select(x, key) if isinstance(x, ArrayView) else x for x in views]
+        vals = apply(*[_operand(x, to_float) for x in block])
+        dest[i * row * isz:(i * row + len(vals)) * isz] = _pack(out.dtype, vals)
+    if not fresh:
+        _write_packed(out, dest)
     record_scalar_ops(out.size)
     return out
 
@@ -258,7 +277,7 @@ def elementwise_binary_inplace(op: str, target: ArrayView,
         raise NotWriteableError("in-place target is not writeable")
     _require_numeric(target.dtype)
     for ext, st in zip(target.shape, target.strides):
-        if ext > 1 and st == 0:
+        if ext > 1 and st == 0 and target.size:  # an empty target has nothing to alias
             raise BroadcastError(
                 "in-place target has a zero stride on an extent-"
                 f"{ext} axis; writes would alias")
@@ -312,6 +331,22 @@ def mask_select(a: ArrayView, mask: ArrayView) -> ArrayView:
     return out
 
 
+def _fold(acc: list, coefs: list, rows: list) -> list:
+    """acc plus up to four product terms in one pass, added left to right as
+    a chain of single-term passes would add them."""
+    if len(coefs) == 4:
+        a0, a1, a2, a3 = coefs
+        return [s + a0 * x + a1 * y + a2 * z + a3 * w for s, x, y, z, w in zip(acc, *rows)]
+    if len(coefs) == 3:
+        a0, a1, a2 = coefs
+        return [s + a0 * x + a1 * y + a2 * z for s, x, y, z in zip(acc, *rows)]
+    if len(coefs) == 2:
+        a0, a1 = coefs
+        return [s + a0 * x + a1 * y for s, x, y in zip(acc, *rows)]
+    a0, = coefs
+    return [s + a0 * x for s, x in zip(acc, *rows)]
+
+
 def dot(a: ArrayView, b: ArrayView) -> ArrayView:
     """Naive triple-loop matrix product; always float64.
 
@@ -329,16 +364,17 @@ def dot(a: ArrayView, b: ArrayView) -> ArrayView:
         raise ShapeError(f"inner extents differ: {a.shape} vs {b.shape}")
     m = a.shape[0] if a.ndim == 2 else 1
     n = b.shape[1] if b.ndim == 2 else 1
-    av = _operand(a, a.shape, True)
-    bv = _operand(b, b.shape, True)
+    av = _operand(a, True)
+    bv = _operand(b, True)
     b_rows = [bv[t * n:(t + 1) * n] for t in range(k)]
     del bv  # the rows hold every value; free the flat list before the output is created
     out = create(a.shape[:-1] + b.shape[1:], float64)
     vals: list = []
     for i in range(m):
         acc = [0.0] * n
-        for at, b_row in zip(av[i * k:(i + 1) * k], b_rows):
-            acc = [s + at * v for s, v in zip(acc, b_row)]
+        a_row = av[i * k:(i + 1) * k]
+        for t in range(0, k, 4):
+            acc = _fold(acc, a_row[t:t + 4], b_rows[t:t + 4])
         vals.extend(acc)
     scatter(out, vals)
     record_scalar_ops(2 * m * n * k)

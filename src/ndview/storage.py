@@ -114,16 +114,18 @@ def from_interface(source) -> ArrayView:
 def fromfile(path, dtype: DType) -> ArrayView:
     """Eagerly read a raw record file into a fresh 1-D heap array."""
     with open(path, "rb") as f:
-        data = f.read()
-    count, remainder = divmod(len(data), dtype.itemsize)
-    if remainder:
-        raise RecordSizeError(
-            f"file {path} holds {len(data)} bytes, {remainder} bytes short of "
-            f"a whole {dtype.itemsize}-byte record boundary")
-    raw = bytearray(data)
-    record_allocation(len(raw))
-    buf = Buffer(raw)
-    return ArrayView(buf, 0, (count,), (dtype.itemsize,), dtype)
+        size = os.fstat(f.fileno()).st_size
+        count, remainder = divmod(size, dtype.itemsize)
+        if remainder:
+            raise RecordSizeError(
+                f"file {path} holds {size} bytes, {remainder} bytes short of "
+                f"a whole {dtype.itemsize}-byte record boundary")
+        raw = bytearray(size)
+        got = f.readinto(raw)
+    if got != size:
+        raise StorageError(f"file {path} shrank to {got} bytes while {size} were read")
+    record_allocation(size)
+    return ArrayView(Buffer(raw), 0, (count,), (dtype.itemsize,), dtype)
 
 
 def tofile(v: ArrayView, path) -> None:

@@ -1,11 +1,17 @@
 import itertools
 import math
+import operator as pyop
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ndview as nv
+from ndview import kernels
+from ndview.core import _read_packed
 from ndview.counters import counting
+from ndview.dtypes import element_struct
 from ndview.errors import (
     BroadcastError,
     IntegerDivisionError,
@@ -288,7 +294,7 @@ class TestDot:
         out = nv.dot(arr(a_rows, nv.float64), arr(b_rows, nv.float64))
         assert out.tolist() == dot_oracle(a_rows, b_rows)
 
-    @pytest.mark.parametrize("k", [4, 0])
+    @pytest.mark.parametrize("k", [4, 0, 1, 2, 3, 5, 9])
     @pytest.mark.parametrize("layout", ["contig", "transposed", "strided"])
     @pytest.mark.parametrize("dtypes", [(nv.float64, nv.float64), (nv.int64, nv.int64),
                                         (nv.int32, nv.float32)], ids=str)
@@ -389,6 +395,202 @@ class TestOpCounting:
         assert outer.scalar_ops == 3
 
 
+# --- blocked evaluation -----------------------------------------------------
+#
+# The map driver walks the output in blocks of leading-axis rows of about
+# kernels._BLOCK elements; these shapes sit on either side of a block edge, have
+# a row longer than a block or one that does not divide it, or are empty.
+
+BLOCK = 1 << 14
+BLOCK_SHAPES = [(BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 7,),
+                (2, 20000), (7, 5000), (0, 3), (3, 0), ()]
+
+
+def test_block_size_is_the_one_these_tests_straddle():
+    assert kernels._BLOCK == BLOCK
+
+
+def _ref_div(a, b):
+    if isinstance(a, int):
+        q = abs(a) // abs(b)
+        return q if (a >= 0) == (b >= 0) else -q
+    if b == 0.0:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, math.copysign(1.0, a) * math.copysign(1.0, b))
+    return a / b
+
+
+def _ref_sqrt(v):
+    v = float(v)
+    return math.nan if v != v or v < 0.0 else math.sqrt(v)
+
+
+_REF_BINARY = {"add": pyop.add, "sub": pyop.sub, "mul": pyop.mul, "div": _ref_div}
+
+
+def _block_values(dt, count, rng, nonzero=False):
+    """Values of dt small enough that no kernel below overflows; floats hold
+    signed zeros and negatives, ints hold zeros unless `nonzero`."""
+    if dt.kind is nv.Kind.FLOAT:
+        return [rng.choice((0.0, -0.0)) if rng.random() < 0.01 else rng.uniform(-4, 4)
+                for _ in range(count)]
+    lo = 1 if nonzero else 0
+    return [rng.choice((-1, 1)) * rng.randint(lo, 50) for _ in range(count)]
+
+
+def _full(shape, dt, values):
+    v = nv.create(shape, dt)
+    nv.scatter(v, values)
+    return v
+
+
+def _block_operand(shape, dt, rng, layout, nonzero=False):
+    """An operand of `shape` and its C-order values: packed, every second
+    element of a larger array, or a row broadcast over the leading axis
+    (zero stride there)."""
+    if layout == "row" and shape:
+        row = _block_values(dt, math.prod(shape[1:]), rng, nonzero)
+        lead = nv.broadcast_view(_full(shape[1:], dt, row), shape)
+        assert lead.strides[0] == 0
+        return lead, row * shape[0]
+    values = _block_values(dt, math.prod(shape), rng, nonzero)
+    if layout == "strided" and shape:
+        big = nv.create(shape[:-1] + (2 * shape[-1],), dt)
+        v = nv.slice_view(big, [slice(None)] * (len(shape) - 1) + [slice(1, None, 2)])
+        nv.scatter(v, values)
+        return v, values
+    return _full(shape, dt, values), values
+
+
+def _packed(dt, values) -> bytes:
+    return element_struct(dt, len(values)).pack(*values)
+
+
+def _bytes_of(v) -> bytes:
+    return bytes(_read_packed(v))
+
+
+_F8, _I8 = nv.float64, nv.int64
+_BINARY_CASES = [(op, dt) for dt in (_F8, _I8) for op in ("add", "sub", "mul", "div")]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+class TestBlocksMatchPerElementReference:
+    """Every map kernel, compared by bits with a per-element reference."""
+
+    @pytest.mark.parametrize("op,dt", _BINARY_CASES, ids=str)
+    @pytest.mark.parametrize("layout", ["contig", "row"])
+    def test_binary(self, shape, op, dt, layout):
+        rng = random.Random(f"{shape}{op}{dt}{layout}")
+        a, va = _block_operand(shape, dt, rng, "strided")
+        b, vb = _block_operand(shape, dt, rng, layout, nonzero=op == "div")
+        out = nv.elementwise_binary(op, a, b)
+        assert out.shape == shape and out.dtype == dt
+        assert _bytes_of(out) == _packed(dt, list(map(_REF_BINARY[op], va, vb)))
+
+    def test_int_operand_of_a_float_domain_converts(self, shape):
+        rng = random.Random(f"{shape}mixed")
+        a, va = _block_operand(shape, _I8, rng, "contig")
+        b, vb = _block_operand(shape, _F8, rng, "row")
+        out = nv.elementwise_binary("sub", a, b)
+        assert _bytes_of(out) == _packed(_F8, [float(x) - y for x, y in zip(va, vb)])
+
+    @pytest.mark.parametrize("op,dt,s,side", [("mul", _F8, 2.5, "right"), ("sub", _I8, 3, "left"),
+                                              ("div", _I8, 2.5, "right")], ids=str)
+    def test_scalar(self, shape, op, dt, s, side):
+        rng = random.Random(f"{shape}{op}{side}")
+        a, va = _block_operand(shape, dt, rng, "strided")
+        out = nv.scalar_binary(op, a, s, scalar_side=side)
+        fn = _REF_BINARY[op]
+        conv = float if isinstance(s, float) else int
+        want = [fn(s, conv(x)) if side == "left" else fn(conv(x), s) for x in va]
+        assert _bytes_of(out) == _packed(out.dtype, want)
+
+    @pytest.mark.parametrize("op,dt", [("square", _F8), ("neg", _I8), ("sqrt", _F8),
+                                       ("sqrt", _I8)], ids=str)
+    def test_unary(self, shape, op, dt):
+        rng = random.Random(f"{shape}{op}{dt}")
+        a, va = _block_operand(shape, dt, rng, "strided")
+        out = nv.elementwise_unary(op, a)
+        ref = {"square": lambda v: v * v, "neg": pyop.neg, "sqrt": _ref_sqrt}[op]
+        assert _bytes_of(out) == _packed(out.dtype, [ref(v) for v in va])
+
+    @pytest.mark.parametrize("op,dt", [("add", _F8), ("mul", _I8), ("div", _F8)], ids=str)
+    @pytest.mark.parametrize("layout", ["contig", "row"])
+    def test_inplace(self, shape, op, dt, layout):
+        rng = random.Random(f"{shape}{op}{dt}{layout}inplace")
+        target, vt = _block_operand(shape, dt, rng, "strided")
+        b, vb = _block_operand(shape, dt, rng, layout)
+        nv.elementwise_binary_inplace(op, target, b)
+        assert _bytes_of(target) == _packed(dt, list(map(_REF_BINARY[op], vt, vb)))
+
+    @pytest.mark.parametrize("op", ["ge", "eq"])
+    def test_compare(self, shape, op):
+        rng = random.Random(f"{shape}{op}")
+        a, va = _block_operand(shape, _I8, rng, "contig")
+        b, vb = _block_operand(shape, _I8, rng, "row")
+        fn = getattr(pyop, op)
+        out = nv.compare(op, a, b)
+        assert out.dtype == nv.bool_
+        assert _bytes_of(out) == _packed(nv.bool_, list(map(fn, va, vb)))
+        assert _bytes_of(nv.compare(op, a, 7)) == _packed(nv.bool_, [fn(x, 7) for x in va])
+
+
+class TestBlockEdges:
+    N = 40_000  # three blocks, the last one partial
+
+    def test_overlapping_inplace_add_reads_before_it_writes(self):
+        # NumPy's x[1:] += x[:-1] adds the old left neighbour to every element
+        values = [(i * 7919) % 1000 - 500 for i in range(self.N)]
+        x = nv.array_from(values, nv.int64)
+        x[1:] += x[:-1]
+        assert nv.gather(x) == values[:1] + [p + q for p, q in zip(values[1:], values)]
+
+    def test_overflow_in_the_last_block_leaves_the_target_unchanged(self):
+        values = [0] * (self.N - 1) + [120]
+        x = nv.array_from(values, nv.int8)
+        with pytest.raises(ValueRangeError, match="cannot store 130"):
+            x += 10
+        assert nv.gather(x) == values
+
+    def test_zero_divisor_only_in_the_last_block(self):
+        a = [1.0 + i for i in range(self.N)]
+        b = [2.0] * (self.N - 1) + [0.0]
+        q = nv.elementwise_binary("div", nv.array_from(a, _F8), nv.array_from(b, _F8))
+        assert _bytes_of(q) == _packed(_F8, [x / 2.0 for x in a[:-1]] + [math.inf])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_sqrt_nan_only_in_the_last_block(self, bad):
+        values = [float(i) for i in range(self.N - 1)] + [bad]
+        r = nv.elementwise_unary("sqrt", nv.array_from(values, _F8))
+        assert _bytes_of(r) == _packed(_F8, [math.sqrt(v) for v in values[:-1]] + [math.nan])
+
+
+_PEAK_CALLS = {
+    "add": lambda a, b: nv.elementwise_binary("add", a, b),
+    "sqrt": lambda a, b: nv.elementwise_unary("sqrt", a),
+    "scalar_mul": lambda a, b: nv.scalar_binary("mul", a, 3.0),
+    "compare": lambda a, b: nv.compare("ge", a, b),
+    "inplace_add": lambda a, b: nv.elementwise_binary_inplace("add", a, b),
+}
+
+
+@pytest.mark.parametrize("name", list(_PEAK_CALLS))
+def test_kernel_holds_one_block_of_values(name):
+    # 200k float64 values as Python floats would take ~6 MiB in a list alone;
+    # the output or in-place staging copy is 1.6 MB and a block of floats ~0.5 MB
+    a = nv.arange(0.0, 200_000.0, 1.0, _F8)
+    b = nv.arange(200_000.0, 0.0, -1.0, _F8)
+    tracemalloc.start()
+    try:
+        _PEAK_CALLS[name](a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 # --- properties -------------------------------------------------------------
 
 
@@ -424,7 +626,6 @@ def _compatible_pair(draw):
 @settings(max_examples=300, deadline=None)
 @given(_compatible_pair(), st.sampled_from(["add", "sub", "mul"]))
 def test_binary_matches_materialized_oracle(pair, op):
-    import operator as pyop
     sa, sb = pair
     a = nv.reshape(nv.arange(0, math.prod(sa), 1), sa)
     b = nv.reshape(nv.arange(0, math.prod(sb), 1), sb)

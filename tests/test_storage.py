@@ -2,12 +2,14 @@ import ctypes
 import gc
 import os
 import struct
+import types
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ndview as nv
+from ndview import storage
 from ndview.counters import counting
 from ndview.demos import MutableText, measurement_dtype, sample_measurements
 from ndview.errors import (
@@ -56,6 +58,16 @@ class TestMemmap:
         assert not c.flags.writeable
         with pytest.raises(NotWriteableError):
             nv.set_element(c, (0,), 1)
+
+    def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        # the size is taken before the read; a file that loses bytes in between is an error
+        p = tmp_path / "shrinking.dat"
+        p.write_bytes(b"\0" * 16)
+        real_fstat = os.fstat
+        monkeypatch.setattr(storage, "os", types.SimpleNamespace(
+            fstat=lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 8)))
+        with pytest.raises(StorageError, match="shrank to 16 bytes while 24 were read"):
+            nv.fromfile(p, nv.int64)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
