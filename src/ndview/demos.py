@@ -228,9 +228,10 @@ def project_points(points: ArrayView, camera: ArrayView) -> ArrayView:
         raise ShapeError(f"camera must be 3 x 3, got {camera.shape}")
     vecs = transpose(dot(camera, transpose(points)))
     thirds = vecs[:, 2]
-    for i, z in enumerate(gather(thirds)):
-        if z == 0.0:
-            raise ZeroDivisionError(f"projected point {i} has zero third coordinate")
+    vals = gather(thirds)
+    if 0.0 in vals:  # -0.0 == 0.0 matches; a NaN equals nothing
+        raise ZeroDivisionError(f"projected point {vals.index(0.0)} has zero third coordinate")
+    del vals  # n Python floats: free them before the division allocates
     return elementwise_binary("div", vecs, newaxis_view(thirds, 1))
 
 

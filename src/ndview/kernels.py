@@ -2,12 +2,15 @@
 in-place variants, comparisons, boolean-row selection, and a naive matrix
 product.
 
-Every kernel walks the output in C-order; operands expanded by broadcasting
-reread the same bytes through zero strides instead of being materialized.
-Each invocation adds one scalar-op unit per output element to the active
-counting scope (the matrix product adds 2*m*n*k: one multiply and one add per
-accumulation step). Kernels are single-threaded; see counters for the scoping
-rules.
+Every kernel walks the output in C-order. The element-wise kernels hold one
+block of leading-axis rows, about _BLOCK Python values, of each operand at a
+time; the matrix product holds its left operand whole and one block of the
+right operand's columns, with the output columns of that block. Operands
+expanded by broadcasting reread the same bytes through zero strides instead
+of being materialized. Each invocation adds one scalar-op unit per output
+element to the active counting scope (the matrix product adds 2*m*n*k: one
+multiply and one add per accumulation step). Kernels are single-threaded;
+see counters for the scoping rules.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .core import (
     _write_packed,
     create,
     gather,
-    scatter,
 )
 from .counters import record_scalar_ops
 from .dtypes import DType, Kind, bool_, field_lookup, float64
@@ -352,8 +354,10 @@ def dot(a: ArrayView, b: ArrayView) -> ArrayView:
 
     1-D operands follow the standard promotion (a row vector on the left,
     a column vector on the right) and the result drops the inserted axes:
-    its shape is a.shape[:-1] + b.shape[1:]. Each operand is read with one
-    gather. Counts 2*m*n*k scalar operations.
+    its shape is a.shape[:-1] + b.shape[1:]. `a` is read whole; `b` is read
+    in blocks of columns holding about _BLOCK values, and each block's
+    output columns are encoded and stored into the result at once. Counts
+    2*m*n*k scalar operations.
     """
     _require_numeric(a.dtype)
     _require_numeric(b.dtype)
@@ -365,18 +369,23 @@ def dot(a: ArrayView, b: ArrayView) -> ArrayView:
     m = a.shape[0] if a.ndim == 2 else 1
     n = b.shape[1] if b.ndim == 2 else 1
     av = _operand(a, True)
-    bv = _operand(b, True)
-    b_rows = [bv[t * n:(t + 1) * n] for t in range(k)]
-    del bv  # the rows hold every value; free the flat list before the output is created
     out = create(a.shape[:-1] + b.shape[1:], float64)
-    vals: list = []
-    for i in range(m):
-        acc = [0.0] * n
-        a_row = av[i * k:(i + 1) * k]
-        for t in range(0, k, 4):
-            acc = _fold(acc, a_row[t:t + 4], b_rows[t:t + 4])
-        vals.extend(acc)
-    scatter(out, vals)
+    step = max(1, _BLOCK // max(k, 1))
+    for j in range(0, n, step):  # a 1-D b is one block
+        w = min(step, n - j)
+        cols = (slice(j, j + w),) if b.ndim == 2 else ()
+        bv = _operand(_select(b, (slice(None),) + cols), True)
+        b_rows = [bv[t * w:(t + 1) * w] for t in range(k)]
+        vals: list = []
+        for i in range(m):
+            acc = [0.0] * w
+            a_row = av[i * k:(i + 1) * k]
+            for t in range(0, k, 4):
+                acc = _fold(acc, a_row[t:t + 4], b_rows[t:t + 4])
+            vals.extend(acc)
+        # one encode and one store per block: a tall `a` pays no call per row
+        _write_packed(_select(out, (slice(None),) * (out.ndim - len(cols)) + cols),
+                      _pack(float64, vals))
     record_scalar_ops(2 * m * n * k)
     return out
 

@@ -180,6 +180,7 @@ class TestDividedDifferences:
 
 class TestProjectPoints:
     CAMERA = [[500.0, 0.0, 320.0], [0.0, 500.0, 240.0], [0.0, 0.0, 1.0]]
+    EYE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
     def test_principal_point(self):
         cam = nv.array_from(self.CAMERA, nv.float64)
@@ -203,12 +204,45 @@ class TestProjectPoints:
             for c in range(3):
                 assert abs(out[3 * i + c] - vec[c] / vec[2]) <= 1e-12
 
+    def test_matches_per_point_oracle_across_column_blocks(self):
+        # 12,000 points span three of dot's column blocks (5,461 columns for k = 3)
+        import struct
+        rng = random.Random(12)
+        pts = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(12_000)]
+        cam = nv.array_from(self.CAMERA, nv.float64)
+        out = nv.gather(project_points(nv.array_from(pts, nv.float64), cam))
+        want = []
+        for p in pts:
+            vec = []
+            for r in range(3):
+                s = 0.0
+                for t in range(3):
+                    s += self.CAMERA[r][t] * p[t]
+                vec.append(s)
+            want.extend(v / vec[2] for v in vec)
+        assert [struct.pack("<d", x) for x in out] == [struct.pack("<d", x) for x in want]
+
     def test_zero_third_coordinate_reports_row(self):
-        eye = nv.array_from([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                            nv.float64)
         pts = nv.array_from([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], nv.float64)
-        with pytest.raises(ZeroDivisionError, match="1"):
-            project_points(pts, eye)
+        with pytest.raises(ZeroDivisionError, match=r"\bpoint 1\b"):
+            project_points(pts, nv.array_from(self.EYE, nv.float64))
+
+    # dot's sums start from +0.0, so a -0.0 third coordinate reaches the check
+    # as +0.0; either sign raises, and the first zero row is the one named
+    @pytest.mark.parametrize("thirds, row", [
+        ([1.0, -0.0], 1),
+        ([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0], 3),
+    ], ids=["negative_zero", "several_zeros"])
+    def test_first_zero_row_is_reported(self, thirds, row):
+        pts = nv.array_from([[1.0, 2.0, z] for z in thirds], nv.float64)
+        with pytest.raises(ZeroDivisionError, match=rf"\bpoint {row}\b"):
+            project_points(pts, nv.array_from(self.EYE, nv.float64))
+
+    def test_nan_third_coordinate_does_not_raise(self):
+        pts = nv.array_from([[2.0, 4.0, 2.0], [1.0, 1.0, math.nan]], nv.float64)
+        out = project_points(pts, nv.array_from(self.EYE, nv.float64)).tolist()
+        assert out[0] == [1.0, 2.0, 1.0]
+        assert all(v != v for v in out[1])
 
     def test_third_column_exactly_one(self):
         rng = random.Random(11)

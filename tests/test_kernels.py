@@ -344,6 +344,50 @@ class TestDot:
             nv.dot(nv.create((2, 3), nv.float64), nv.create((3, 4), nv.float64))
         assert tally.scalar_ops == 2 * 2 * 4 * 3
 
+    # dot reads b in blocks of kernels._BLOCK // k columns; these widths sit on
+    # either side of a block edge or leave a short last block.
+    @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 3)], ids=str)
+    @pytest.mark.parametrize("layout", ["contig", "transposed", "strided"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_triple_loop_across_column_blocks(self, k, layout, blocks):
+        import struct
+        rng = random.Random(f"{k}{layout}{blocks}")
+        m, n = 2, blocks[0] * (kernels._BLOCK // k) + blocks[1]
+        a_rows = [[rng.uniform(-1, 1) for _ in range(k)] for _ in range(m)]
+        b_rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(k)]
+        a = arr(a_rows, nv.float64)
+        b = operand_with_layout((k, n), nv.float64, layout, [x for r in b_rows for x in r])
+        with counting() as tally:
+            out = nv.dot(a, b)
+        assert out.shape == (m, n)
+        assert [struct.pack("<d", x) for x in nv.gather(out)] \
+            == [struct.pack("<d", x) for row in dot_oracle(a_rows, b_rows) for x in row]
+        assert tally.scalar_ops == 2 * m * n * k
+        assert tally.buffers_allocated == 1
+
+    def test_empty_inner_extent_over_several_blocks(self):
+        n = kernels._BLOCK + 5  # k = 0 reads blocks of _BLOCK columns
+        a, b = nv.create((2, 0), nv.float64), nv.create((0, n), nv.float64)
+        with counting() as tally:
+            out = nv.dot(a, b)
+        assert out.shape == (2, n)
+        assert nv.gather(out) == [0.0] * (2 * n)
+        assert tally.scalar_ops == 0
+        assert tally.buffers_allocated == 1
+
+    def test_holds_one_block_of_columns(self):
+        # camera's product: b whole as Python floats would take ~9 MiB, the
+        # result as Python floats as much again; the output buffer is 2.4 MB
+        cam = arr([[500.0, 0.0, 320.0], [0.0, 500.0, 240.0], [0.0, 0.0, 1.0]], nv.float64)
+        pts = nv.reshape(nv.arange(0.0, 300_000.0, 1.0, nv.float64), (100_000, 3))
+        tracemalloc.start()
+        try:
+            nv.dot(cam, nv.transpose(pts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
 
 class TestFieldView:
     def test_time_field(self):
